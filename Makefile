@@ -24,6 +24,7 @@ bench:
 fuzz:
 	$(GO) test -fuzz=FuzzParse -fuzztime=30s ./internal/taskname/
 	$(GO) test -fuzz=FuzzReadTasks -fuzztime=30s ./internal/trace/
+	$(GO) test -fuzz=FuzzLoadModel -fuzztime=30s ./internal/core/
 
 reproduce:
 	$(GO) run ./cmd/reproduce -gen 20000 -seed 1 -out results/

@@ -214,6 +214,10 @@ func (m *Model) Classify(g *dag.Graph) (ModelGroup, float64, error) {
 	return m.Groups[bestIdx], bestScore, nil
 }
 
+// maxModelIterations bounds the WL depth LoadModel accepts; trained
+// models use single digits.
+const maxModelIterations = 64
+
 // modelHeader precedes the gob payload on disk so a truncated or alien
 // file fails fast with a named error instead of a gob decode panic.
 var modelHeader = []byte(ModelSchema + "\n")
@@ -269,6 +273,15 @@ func LoadModel(path string) (*Model, error) {
 	}
 	if m.Schema != ModelSchema {
 		return nil, fmt.Errorf("core: model %s has schema %q, want %q", path, m.Schema, ModelSchema)
+	}
+	if m.Dict == nil {
+		return nil, fmt.Errorf("core: model %s has no WL dictionary", path)
+	}
+	// Refinement cost is linear in the depth, so an absurd depth from a
+	// corrupt file would stall every Classify call.
+	if m.WL.Iterations > maxModelIterations {
+		return nil, fmt.Errorf("core: model %s has %d WL iterations, limit %d",
+			path, m.WL.Iterations, maxModelIterations)
 	}
 	return &m, nil
 }

@@ -5,7 +5,9 @@ import (
 	"path/filepath"
 	"testing"
 
+	"jobgraph/internal/dag"
 	"jobgraph/internal/tracegen"
+	"jobgraph/internal/wl"
 )
 
 // trainedModel runs a small pipeline and extracts its model.
@@ -138,5 +140,25 @@ func TestLoadModelRejectsTruncated(t *testing.T) {
 	}
 	if _, err := LoadModel(path); err == nil {
 		t.Fatal("expected decode error on truncated model")
+	}
+}
+
+// TestLoadModelRejectsAbsurdDepth: refinement cost grows with the WL
+// depth, so a model file claiming an absurd one must fail to load
+// rather than stall every later Classify.
+func TestLoadModelRejectsAbsurdDepth(t *testing.T) {
+	g := fuzzGraph(t)
+	_, dict, err := wl.Features([]*dag.Graph{g}, wl.DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := &Model{Schema: ModelSchema, WL: wl.Options{Iterations: 1 << 40}, Dict: dict,
+		Groups: []ModelGroup{{Name: "A"}}}
+	path := filepath.Join(t.TempDir(), "model.gob")
+	if err := m.Save(path); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := LoadModel(path); err == nil {
+		t.Fatal("model with 2^40 WL iterations loaded")
 	}
 }

@@ -3,45 +3,54 @@ package wl
 import (
 	"math/rand"
 	"testing"
+
+	"jobgraph/internal/dag"
 )
 
 // TestEmbedIntoZeroAlloc pins the core refinement guarantee: once an
 // embedder has seen a graph's label universe, re-embedding performs no
 // heap allocations at all — every round runs over reused code arrays,
-// the shared composition buffer, and no-alloc map lookups.
+// the shared composition buffer, reused BFS scratch, and no-alloc map
+// lookups — for every base kernel and every label space.
 func TestEmbedIntoZeroAlloc(t *testing.T) {
 	g := randomDAG(rand.New(rand.NewSource(3)), "alloc", 40)
-	opt := DefaultOptions()
+	bases := []BaseKernel{BaseSubtree, BaseEdge, BaseShortestPath}
 
-	t.Run("dictionary", func(t *testing.T) {
-		d := NewDictionary()
-		e := newFastEmbedder(d, nil)
+	// warmAllocs embeds g once to warm e, then reports the allocations
+	// of a re-embed.
+	warmAllocs := func(e *embedder, opt Options) float64 {
 		vec := make(Vector)
-		e.embedInto(vec, g, opt) // warm: interns every label this graph produces
-		allocs := testing.AllocsPerRun(100, func() {
+		e.embedInto(vec, g, opt)
+		return testing.AllocsPerRun(100, func() {
 			clear(vec)
 			e.embedInto(vec, g, opt)
 		})
-		if allocs != 0 {
-			t.Fatalf("warm dictionary embedInto allocates %.1f objects/run, want 0", allocs)
+	}
+	frozenFrom := func(t *testing.T, src *dag.Graph, opt Options) *Frozen {
+		d := NewDictionary()
+		if _, err := d.Embed(src, opt); err != nil {
+			t.Fatal(err)
+		}
+		return d.Freeze()
+	}
+
+	t.Run("dictionary", func(t *testing.T) {
+		for _, base := range bases {
+			opt := DefaultOptions()
+			opt.Base = base
+			if allocs := warmAllocs(newEmbedder(NewDictionary(), nil, 0), opt); allocs != 0 {
+				t.Errorf("%s: warm dictionary embedInto allocates %.1f objects/run, want 0", base, allocs)
+			}
 		}
 	})
 
 	t.Run("frozen", func(t *testing.T) {
-		d := NewDictionary()
-		if _, err := d.Embed(g, opt); err != nil {
-			t.Fatal(err)
-		}
-		fz := d.Freeze()
-		e := newFastEmbedder(nil, fz)
-		vec := make(Vector)
-		e.embedInto(vec, g, opt)
-		allocs := testing.AllocsPerRun(100, func() {
-			clear(vec)
-			e.embedInto(vec, g, opt)
-		})
-		if allocs != 0 {
-			t.Fatalf("warm frozen embedInto allocates %.1f objects/run, want 0", allocs)
+		for _, base := range bases {
+			opt := DefaultOptions()
+			opt.Base = base
+			if allocs := warmAllocs(newEmbedder(nil, frozenFrom(t, g, opt), 0), opt); allocs != 0 {
+				t.Errorf("%s: warm frozen embedInto allocates %.1f objects/run, want 0", base, allocs)
+			}
 		}
 	})
 
@@ -50,20 +59,13 @@ func TestEmbedIntoZeroAlloc(t *testing.T) {
 		// different graph, so refinement keeps hitting frozen-miss hashed
 		// labels. After the first pass caches them, re-embedding is still
 		// allocation-free.
-		d := NewDictionary()
-		if _, err := d.Embed(chainGraph(t, "other", 4), opt); err != nil {
-			t.Fatal(err)
-		}
-		fz := d.Freeze()
-		e := newFastEmbedder(nil, fz)
-		vec := make(Vector)
-		e.embedInto(vec, g, opt)
-		allocs := testing.AllocsPerRun(100, func() {
-			clear(vec)
-			e.embedInto(vec, g, opt)
-		})
-		if allocs != 0 {
-			t.Fatalf("warm frozen-miss embedInto allocates %.1f objects/run, want 0", allocs)
+		for _, base := range bases {
+			opt := DefaultOptions()
+			opt.Base = base
+			fz := frozenFrom(t, chainGraph(t, "other", 4), opt)
+			if allocs := warmAllocs(newEmbedder(nil, fz, 0), opt); allocs != 0 {
+				t.Errorf("%s: warm frozen-miss embedInto allocates %.1f objects/run, want 0", base, allocs)
+			}
 		}
 	})
 }
@@ -75,7 +77,7 @@ func TestEmbedIntoZeroAlloc(t *testing.T) {
 func TestHashedEmbedWarmAllocs(t *testing.T) {
 	g := randomDAG(rand.New(rand.NewSource(5)), "hashed-alloc", 40)
 	opt := DefaultOptions()
-	e := newHashedEmbedder(64)
+	e := newEmbedder(nil, nil, 64)
 	e.embed(g, opt) // warm the token caches
 	allocs := testing.AllocsPerRun(100, func() {
 		vec := e.embed(g, opt)

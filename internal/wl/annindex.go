@@ -4,7 +4,7 @@
 // vector — O(n) per query, O(n²) for a kernel matrix — which is why the
 // paper samples 100 jobs. ANNIndex breaks that ceiling with the
 // standard sketch-and-hash construction: each job is embedded as a
-// hashed WL feature vector (hashed.go, no shared dictionary), sketched
+// hashed WL feature vector (HashedFeatures, no shared dictionary), sketched
 // into a MinHash signature (sketch.go), and inserted into banded LSH
 // tables. A query probes one LSH bucket per band, unions the posting
 // lists into a candidate set whose size tracks the corpus's local
@@ -461,8 +461,10 @@ func fromWire(w annWire) (*ANNIndex, error) {
 				return nil, fmt.Errorf("wl: ann index wire: vector %d keys not ascending", i)
 			}
 			c := float64(w.Vals[i][j])
-			if c < 0 {
-				return nil, fmt.Errorf("wl: ann index wire: negative count in vector %d", i)
+			// NaN passes a plain c < 0 test and would poison every
+			// similarity score the vector takes part in.
+			if c < 0 || math.IsNaN(c) || math.IsInf(c, 0) {
+				return nil, fmt.Errorf("wl: ann index wire: count %v in vector %d is not finite and non-negative", c, i)
 			}
 			self += c * c
 		}

@@ -2,8 +2,10 @@ package wl
 
 import (
 	"bytes"
+	"encoding/gob"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -292,5 +294,54 @@ func TestANNEmptyIndexQuery(t *testing.T) {
 	}
 	if len(hits) != 0 {
 		t.Fatalf("hits on empty index: %v", hits)
+	}
+}
+
+// TestANNWireValidation feeds fromWire, the validator behind every ANN
+// index decoder, one corruption at a time; each must be an error.
+func TestANNWireValidation(t *testing.T) {
+	ix, _ := annCorpus(t, 6, SketchOptions{Hashes: 16, Bands: 4, Buckets: 1 << 12, Seed: 2})
+	fresh := func() annWire {
+		w := ix.wire()
+		w.Jobs = slices.Clone(w.Jobs)
+		w.Keys = slices.Clone(w.Keys)
+		w.Vals = slices.Clone(w.Vals)
+		for i := range w.Vals {
+			w.Keys[i] = slices.Clone(w.Keys[i])
+			w.Vals[i] = slices.Clone(w.Vals[i])
+		}
+		return w
+	}
+	if _, err := fromWire(fresh()); err != nil {
+		t.Fatalf("valid wire rejected: %v", err)
+	}
+	for name, corrupt := range map[string]func(w *annWire){
+		"schema":          func(w *annWire) { w.Schema = "jobgraph-ann/v0" },
+		"array lengths":   func(w *annWire) { w.Sigs = w.Sigs[1:] },
+		"duplicate job":   func(w *annWire) { w.Jobs[1] = w.Jobs[0] },
+		"key/val lengths": func(w *annWire) { w.Vals[0] = w.Vals[0][1:] },
+		"unsorted keys":   func(w *annWire) { w.Keys[0][0], w.Keys[0][1] = w.Keys[0][1], w.Keys[0][0] },
+		"negative count":  func(w *annWire) { w.Vals[0][0] = -1 },
+		"NaN count":       func(w *annWire) { w.Vals[0][0] = float32(math.NaN()) },
+		"+Inf count":      func(w *annWire) { w.Vals[0][0] = float32(math.Inf(1)) },
+		"-Inf count":      func(w *annWire) { w.Vals[0][0] = float32(math.Inf(-1)) },
+	} {
+		w := fresh()
+		corrupt(&w)
+		if _, err := fromWire(w); err == nil {
+			t.Errorf("%s: corrupt wire accepted", name)
+		}
+	}
+
+	// The binary decoder routes through the same check.
+	w := fresh()
+	w.Vals[0][0] = float32(math.NaN())
+	var buf bytes.Buffer
+	buf.Write(annHeader)
+	if err := gob.NewEncoder(&buf).Encode(w); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := LoadANNIndex(&buf); err == nil {
+		t.Fatal("LoadANNIndex accepted a NaN count")
 	}
 }

@@ -1,7 +1,6 @@
 package wl
 
 import (
-	"bytes"
 	"slices"
 	"strconv"
 
@@ -9,34 +8,36 @@ import (
 	"jobgraph/internal/taskname"
 )
 
-// This file is the zero-allocation refinement path for the subtree base
-// kernel. The legacy string-labelled loop in wl.go rebuilt every label
-// map, label string, and neighbor slice on every round of every graph;
-// here a node's label is an int32 code into small side tables, and all
-// scratch (code arrays, neighbor form lists, the composition buffer) is
-// owned by an embedder that lives as long as its dictionary, so a warm
-// embedder refines an already-seen graph shape without allocating at
-// all (asserted by TestEmbedIntoZeroAlloc).
+// This file is the package's one WL refinement loop. A node's label is
+// an int32 ref into small token tables, and all scratch (ref arrays,
+// neighbor form lists, the composition buffer, BFS state) is owned by an
+// embedder, so a warm embedder refines an already-seen graph shape
+// without allocating at all (asserted by TestEmbedIntoZeroAlloc).
 //
-// The observable outputs are unchanged: label strings interned into the
-// dictionary are byte-identical to the legacy refineLabel format, the
-// per-round phase order (compress all nodes, then record) is preserved,
-// and node order is ascending NodeID exactly as g.NodeIDs() yields it.
-// Only dictionary id *values* can differ from the historical
-// implementation, which never promised them: its compression loop
-// iterated a Go map, so id assignment was already run-to-run
-// nondeterministic. This path interns in node-position order instead,
-// making vectors deterministic — kernel values are invariant either way
-// because every dot product is preserved under a consistent relabeling.
-
-// Label code space. A node's current label is an int32 ref:
+// One embedder serves three label compressors, chosen by which of its
+// fields is set:
 //
-//	ref < 0          frozen-miss hashed label; index -(ref+1) into unseen tables
-//	0 <= ref < 16    initial label; index into initForms/initLabels
-//	ref >= 16        compressed token "#<id>" with id = ref-tokenBase
-const tokenBase = 16
+//   - dict: a Dictionary interns every refined label and record key;
+//   - froz: a Frozen view looks them up, and a refined label it never
+//     saw compresses to "?%016x" of its FNV-1a hash;
+//   - buckets: feature hashing compresses a refined label to
+//     "#<iteration>/<bucket>" and records into FNV-1a buckets.
+//
+// and all three base kernels: subtree records node labels, edge records
+// "N|<label>" per node and "E|<label>|<label>" per edge, and shortest
+// path records "SP|<label>|<label>|<d>" per reachable ordered pair.
+//
+// Every walk runs in ascending node position (= ascending NodeID), and
+// each round compresses all nodes before recording, so dictionary ids
+// are deterministic. TestGoldenEmbeddings pins every output family.
 
-// Initial-label table indices (iteration-0 labels).
+// A node's current label is an int32 ref:
+//
+//	ref < 0   token found by content (frozen miss or hashed); index -(ref+1) into extra
+//	ref >= 0  index into toks: initial labels first, then "#<id>" with id = ref-tokenBase
+const tokenBase = numInitLabels
+
+// Initial-label indices (iteration-0 labels).
 const (
 	initMap = iota
 	initReduce
@@ -46,56 +47,60 @@ const (
 	numInitLabels
 )
 
-var (
-	initForms  = [numInitLabels][]byte{[]byte("M"), []byte("R"), []byte("J"), []byte("?"), []byte("·")}
-	initLabels = [numInitLabels]string{"M", "R", "J", "?", "·"}
-)
+var initForms = [numInitLabels]string{"M", "R", "J", "?", "·"}
 
 // Sentinels for lazily resolved record keys.
 const (
-	keyAbsent     int32 = -1 // label not in the (frozen) label space
-	keyUnresolved int32 = -2
+	keyAbsent     = -1 // label not in the (frozen) label space
+	keyUnresolved = -2
 )
 
-// fastEmbedder owns the per-labeler refinement state. Exactly one of
-// dict/froz is set; the embedder must only ever be used with that
-// labeler because every cached key below is an id in its space.
-type fastEmbedder struct {
-	dict *Dictionary
-	froz *Frozen
+// token is one distinct label: its form, as it appears inside a
+// composed refined label, and the vector key its occurrences count into
+// (resolved on first record).
+type token struct {
+	form string
+	key  int
+}
+
+// embedder owns the refinement state of one label compressor. Exactly
+// one of dict, froz and buckets is set; the embedder must only ever be
+// used with that compressor because every cached key is in its space.
+type embedder struct {
+	dict    *Dictionary
+	froz    *Frozen
+	buckets uint64
 
 	codes []int32  // current label ref per node position
 	next  []int32  // next round's refs (swapped, never reallocated)
-	forms [][]byte // neighbor byte forms, sorted per multiset
-	buf   []byte   // composition scratch for one refined label
+	nbrs  []string // neighbor forms, sorted per multiset
+	buf   []byte   // composition scratch for one label or record key
+	dist  []int32  // shortest-path BFS distances, -1 when unreached
+	queue []int32  // shortest-path BFS visit order
 
-	// initKey[i] is the record id of initLabels[i] under the labeler.
-	initKey [numInitLabels]int32
-
-	// tokForm[id] is the "#<id>" byte form; tokKey[id] its record id.
-	// Forms depend only on the id value, keys on the labeler.
-	tokForm [][]byte
-	tokKey  []int32
-
-	// Frozen-miss labels compress to "?%016x" of their FNV-1a hash.
-	unseenForm [][]byte
-	unseenKey  []int32
-	unseenRef  map[uint64]int32
+	toks     []token
+	extra    []token
+	extraRef map[[2]uint64]int32
 }
 
-func newFastEmbedder(d *Dictionary, f *Frozen) *fastEmbedder {
-	e := &fastEmbedder{dict: d, froz: f}
-	for i := range e.initKey {
-		e.initKey[i] = keyUnresolved
+func newEmbedder(d *Dictionary, f *Frozen, buckets int) *embedder {
+	e := &embedder{dict: d, froz: f, buckets: uint64(buckets)}
+	for _, form := range initForms {
+		e.toks = append(e.toks, token{form: form, key: keyUnresolved})
 	}
 	return e
 }
 
-// embedInto accumulates g's subtree feature counts into vec. opt must
-// already be validated and opt.Base must be BaseSubtree. A warm
-// embedder (same labeler, all labels seen before) performs no
-// allocations beyond growth of vec itself.
-func (e *fastEmbedder) embedInto(vec Vector, g *dag.Graph, opt Options) {
+// embed returns g's feature vector. opt must already be validated.
+func (e *embedder) embed(g *dag.Graph, opt Options) Vector {
+	vec := make(Vector)
+	e.embedInto(vec, g, opt)
+	return vec
+}
+
+// embedInto accumulates g's feature counts into vec. A warm embedder
+// (all labels seen before) performs no allocations beyond growth of vec.
+func (e *embedder) embedInto(vec Vector, g *dag.Graph, opt Options) {
 	n := g.NumNodes()
 	if n == 0 {
 		return
@@ -106,17 +111,20 @@ func (e *fastEmbedder) embedInto(vec Vector, g *dag.Graph, opt Options) {
 	for p := 0; p < n; p++ {
 		e.codes[p] = initRef(g.NodeAt(p).Type, opt.UseTypeLabels)
 	}
-	e.record(vec, n)
+	e.record(vec, g, opt.Base)
 
 	for it := 0; it < opt.Iterations; it++ {
 		for p := 0; p < n; p++ {
 			e.compose(g, p, opt.Undirected)
-			e.next[p] = e.compress()
+			e.next[p] = e.compress(it)
 		}
 		e.codes, e.next = e.next, e.codes
-		e.record(vec, n)
+		e.record(vec, g, opt.Base)
 	}
 
+	if e.buckets > 0 {
+		return // the hashed scale path is not tallied
+	}
 	obsEmbeds.Add(1)
 	obsRefineRounds.Add(int64(opt.Iterations))
 	obsVectorSize.Observe(float64(len(vec)))
@@ -141,60 +149,56 @@ func initRef(t taskname.Type, useTypes bool) int32 {
 	}
 }
 
-// form returns the byte form of a label ref, as it appears inside a
-// composed refined label.
-func (e *fastEmbedder) form(ref int32) []byte {
-	switch {
-	case ref < 0:
-		return e.unseenForm[-(ref + 1)]
-	case ref < tokenBase:
-		return initForms[ref]
-	default:
-		return e.tokForm[ref-tokenBase]
+func (e *embedder) tok(ref int32) *token {
+	if ref < 0 {
+		return &e.extra[-(ref + 1)]
 	}
+	return &e.toks[ref]
 }
 
-// compose builds node p's refined label into e.buf, byte-identical to
-// the legacy refineLabel: own label, then "(P:pred,…|S:succ,…)" with
-// each multiset sorted lexicographically (bytes.Compare orders byte
-// slices exactly as sort.Strings ordered the legacy label strings).
-func (e *fastEmbedder) compose(g *dag.Graph, p int, undirected bool) {
+// form returns the form of node p's current label.
+func (e *embedder) form(p int32) string { return e.tok(e.codes[p]).form }
+
+// compose builds node p's refined label into e.buf: own label, then
+// "(P:pred,…|S:succ,…)", or "(nbr,…)" when undirected, with each
+// multiset sorted bytewise.
+func (e *embedder) compose(g *dag.Graph, p int, undirected bool) {
 	preds, succs := g.PredPos(p), g.SuccPos(p)
-	buf := append(e.buf[:0], e.form(e.codes[p])...)
+	buf := append(e.buf[:0], e.form(int32(p))...)
 	if undirected {
 		f := e.gather(preds, nil)
 		f = e.gather(succs, f)
-		slices.SortFunc(f, bytes.Compare)
+		slices.Sort(f)
 		buf = append(buf, '(')
 		buf = joinForms(buf, f)
 		e.buf = append(buf, ')')
 		return
 	}
 	f := e.gather(preds, nil)
-	slices.SortFunc(f, bytes.Compare)
+	slices.Sort(f)
 	buf = append(buf, "(P:"...)
 	buf = joinForms(buf, f)
 	f = e.gather(succs, nil)
-	slices.SortFunc(f, bytes.Compare)
+	slices.Sort(f)
 	buf = append(buf, "|S:"...)
 	buf = joinForms(buf, f)
 	e.buf = append(buf, ')')
 }
 
-// gather appends the byte forms of the given neighbor positions to dst
+// gather appends the forms of the given neighbor positions to dst
 // (dst == nil restarts the shared scratch slice).
-func (e *fastEmbedder) gather(nbrs []int32, dst [][]byte) [][]byte {
+func (e *embedder) gather(nbrs []int32, dst []string) []string {
 	if dst == nil {
-		dst = e.forms[:0]
+		dst = e.nbrs[:0]
 	}
 	for _, q := range nbrs {
-		dst = append(dst, e.form(e.codes[q]))
+		dst = append(dst, e.form(q))
 	}
-	e.forms = dst
+	e.nbrs = dst
 	return dst
 }
 
-func joinForms(buf []byte, forms [][]byte) []byte {
+func joinForms(buf []byte, forms []string) []byte {
 	for i, f := range forms {
 		if i > 0 {
 			buf = append(buf, ',')
@@ -204,105 +208,153 @@ func joinForms(buf []byte, forms [][]byte) []byte {
 	return buf
 }
 
-// compress resolves the composed label in e.buf to its next-round ref:
-// a dictionary interns unseen labels, a frozen view hashes them.
-func (e *fastEmbedder) compress() int32 {
-	if e.dict != nil {
-		v, ok := e.dict.ids[string(e.buf)]
-		if !ok {
-			v = len(e.dict.ids)
-			e.dict.ids[string(e.buf)] = v
+// compress resolves the refined label in e.buf, composed in round it,
+// to its next-round ref.
+func (e *embedder) compress(it int) int32 {
+	switch {
+	case e.dict != nil:
+		return e.tokenRef(e.dict.intern(e.buf))
+	case e.froz != nil:
+		if v, ok := e.froz.ids[string(e.buf)]; ok {
+			return e.tokenRef(v)
 		}
-		return e.tokenRef(v)
+		return e.extraTok([2]uint64{fnvSum(e.buf)})
+	default:
+		return e.extraTok([2]uint64{uint64(it), fnvSum(e.buf) % e.buckets})
 	}
-	if v, ok := e.froz.ids[string(e.buf)]; ok {
-		return e.tokenRef(v)
-	}
-	return e.hashedRef()
 }
 
-// tokenRef returns the ref for compressed token "#<v>", materializing
-// its byte form on first use.
-func (e *fastEmbedder) tokenRef(v int) int32 {
-	if grow := v + 1 - len(e.tokForm); grow > 0 {
-		e.tokForm = append(e.tokForm, make([][]byte, grow)...)
-		for len(e.tokKey) < len(e.tokForm) {
-			e.tokKey = append(e.tokKey, keyUnresolved)
-		}
+// tokenRef returns the ref for dictionary token "#<v>", materializing
+// its form on first use.
+func (e *embedder) tokenRef(v int) int32 {
+	ref := tokenBase + v
+	for len(e.toks) <= ref {
+		e.toks = append(e.toks, token{key: keyUnresolved})
 	}
-	if e.tokForm[v] == nil {
-		e.tokForm[v] = strconv.AppendInt([]byte{'#'}, int64(v), 10)
+	if e.toks[ref].form == "" {
+		var b [24]byte
+		e.toks[ref].form = string(strconv.AppendInt(append(b[:0], '#'), int64(v), 10))
 	}
-	return tokenBase + int32(v)
+	return int32(ref)
 }
 
-// hashedRef compresses the frozen-miss label in e.buf to a "?%016x"
-// form, deduplicated by content hash.
-func (e *fastEmbedder) hashedRef() int32 {
-	h := fnvSum(e.buf)
-	if ref, ok := e.unseenRef[h]; ok {
+// extraTok returns the ref of a token found by content: a frozen miss,
+// keyed by its hash, or a hashed token, keyed by (round, bucket).
+func (e *embedder) extraTok(k [2]uint64) int32 {
+	if ref, ok := e.extraRef[k]; ok {
 		return ref
 	}
-	form := appendHashLabel(make([]byte, 0, 17), h)
-	key := keyAbsent
-	if v, ok := e.froz.ids[string(form)]; ok {
-		key = int32(v)
+	var b [48]byte
+	form := b[:0]
+	if e.froz != nil {
+		form = appendHashLabel(form, k[0])
+	} else {
+		form = strconv.AppendUint(append(form, '#'), k[0], 10)
+		form = strconv.AppendUint(append(form, '/'), k[1], 10)
 	}
-	ref := -int32(len(e.unseenForm)) - 1
-	e.unseenForm = append(e.unseenForm, form)
-	e.unseenKey = append(e.unseenKey, key)
-	if e.unseenRef == nil {
-		e.unseenRef = make(map[uint64]int32)
+	ref := -int32(len(e.extra)) - 1
+	e.extra = append(e.extra, token{form: string(form), key: keyUnresolved})
+	if e.extraRef == nil {
+		e.extraRef = make(map[[2]uint64]int32)
 	}
-	e.unseenRef[h] = ref
+	e.extraRef[k] = ref
 	return ref
 }
 
-// record adds the current round's label counts to vec, walking nodes in
-// ascending position (= ascending NodeID) order so dictionary interning
-// of compressed tokens stays deterministic.
-func (e *fastEmbedder) record(vec Vector, n int) {
-	for p := 0; p < n; p++ {
-		ref := e.codes[p]
-		var key int32
-		switch {
-		case ref < 0:
-			key = e.unseenKey[-(ref + 1)]
-		case ref < tokenBase:
-			key = e.initKeyOf(ref)
-		default:
-			key = e.tokKeyOf(ref - tokenBase)
+// key resolves the label or record key in e.buf to its vector key: a
+// dictionary interns it, a frozen view looks it up, feature hashing
+// buckets it.
+func (e *embedder) key() int {
+	switch {
+	case e.dict != nil:
+		return e.dict.intern(e.buf)
+	case e.froz != nil:
+		if v, ok := e.froz.ids[string(e.buf)]; ok {
+			return v
 		}
-		if key >= 0 {
-			vec[int(key)]++
+		return keyAbsent
+	default:
+		return int(fnvSum(e.buf) % e.buckets)
+	}
+}
+
+// count adds one occurrence of the key in e.buf to vec.
+func (e *embedder) count(vec Vector) {
+	if k := e.key(); k >= 0 {
+		vec[k]++
+	}
+}
+
+// record adds the current round's base-kernel counts to vec, walking
+// nodes (and their successors or BFS reach) in ascending position so
+// dictionary interning stays deterministic.
+func (e *embedder) record(vec Vector, g *dag.Graph, base BaseKernel) {
+	n := len(e.codes)
+	switch base {
+	case BaseEdge:
+		for p := 0; p < n; p++ {
+			fu := e.form(int32(p))
+			e.buf = append(append(e.buf[:0], "N|"...), fu...)
+			e.count(vec)
+			for _, q := range g.SuccPos(p) {
+				buf := append(append(e.buf[:0], "E|"...), fu...)
+				buf = append(buf, '|')
+				e.buf = append(buf, e.form(q)...)
+				e.count(vec)
+			}
+		}
+	case BaseShortestPath:
+		e.dist = resizeRefs(e.dist, n)
+		for i := range e.dist {
+			e.dist[i] = -1
+		}
+		for p := 0; p < n; p++ {
+			e.queue = bfsFrom(g, int32(p), e.dist, e.queue)
+			fu := e.form(int32(p))
+			for _, q := range e.queue {
+				buf := append(append(e.buf[:0], "SP|"...), fu...)
+				buf = append(buf, '|')
+				buf = append(buf, e.form(q)...)
+				buf = append(buf, '|')
+				e.buf = strconv.AppendInt(buf, int64(e.dist[q]), 10)
+				e.count(vec)
+			}
+			for _, q := range e.queue {
+				e.dist[q] = -1
+			}
+		}
+	default:
+		for p := 0; p < n; p++ {
+			t := e.tok(e.codes[p])
+			if t.key == keyUnresolved {
+				e.buf = append(e.buf[:0], t.form...)
+				t.key = e.key()
+			}
+			if t.key >= 0 {
+				vec[t.key]++
+			}
 		}
 	}
 }
 
-func (e *fastEmbedder) initKeyOf(i int32) int32 {
-	if e.initKey[i] == keyUnresolved {
-		e.initKey[i] = e.resolveKey(initLabels[i])
+// bfsFrom runs a directed unit-weight BFS from position src over the
+// CSR successor lists. dist must hold -1 at every position on entry; on
+// return dist holds the distance of every reached position, and the
+// reached positions are returned in visit order (src first, at distance
+// 0), reusing queue's storage.
+func bfsFrom(g *dag.Graph, src int32, dist, queue []int32) []int32 {
+	queue = append(queue[:0], src)
+	dist[src] = 0
+	for i := 0; i < len(queue); i++ {
+		u := queue[i]
+		for _, v := range g.SuccPos(int(u)) {
+			if dist[v] < 0 {
+				dist[v] = dist[u] + 1
+				queue = append(queue, v)
+			}
+		}
 	}
-	return e.initKey[i]
-}
-
-func (e *fastEmbedder) tokKeyOf(v int32) int32 {
-	if e.tokKey[v] == keyUnresolved {
-		e.tokKey[v] = e.resolveKey(string(e.tokForm[v]))
-	}
-	return e.tokKey[v]
-}
-
-// resolveKey interns (dictionary) or looks up (frozen) a record label,
-// mirroring what the legacy loop's record() did with ld.labelID.
-func (e *fastEmbedder) resolveKey(label string) int32 {
-	if e.dict != nil {
-		return int32(e.dict.id(label))
-	}
-	if v, ok := e.froz.ids[label]; ok {
-		return int32(v)
-	}
-	return keyAbsent
+	return queue
 }
 
 func resizeRefs(s []int32, n int) []int32 {
@@ -326,7 +378,7 @@ func fnvSum(b []byte) uint64 {
 	return h
 }
 
-// appendHashLabel appends the legacy hashLabel form "?%016x" of h.
+// appendHashLabel appends the frozen-miss form "?%016x" of h.
 func appendHashLabel(dst []byte, h uint64) []byte {
 	const hexdigits = "0123456789abcdef"
 	dst = append(dst, '?')

@@ -50,3 +50,25 @@ func TestDictionaryGobRoundTrip(t *testing.T) {
 		t.Fatalf("similarity against corpus vector = %v", s)
 	}
 }
+
+// TestDictionaryGobRejectsCorruptIDs: a decoded dictionary must assign
+// ids 0..len-1, each once. A negative id would index the embedder's
+// token tables out of range, a huge one would grow them to match, and
+// a gap or duplicate would make interning collide.
+func TestDictionaryGobRejectsCorruptIDs(t *testing.T) {
+	for name, ids := range map[string]map[string]int{
+		"negative":  {"M": 0, "R": -7},
+		"huge":      {"M": 0, "R": 1 << 40},
+		"gap":       {"M": 0, "R": 2},
+		"duplicate": {"M": 0, "R": 0},
+	} {
+		var buf bytes.Buffer
+		if err := gob.NewEncoder(&buf).Encode(ids); err != nil {
+			t.Fatal(err)
+		}
+		var d Dictionary
+		if err := d.GobDecode(buf.Bytes()); err == nil {
+			t.Errorf("%s ids %v accepted", name, ids)
+		}
+	}
+}

@@ -1,13 +1,8 @@
 package wl
 
 import (
-	"bytes"
 	"fmt"
-	"hash/fnv"
 	"runtime"
-	"slices"
-	"sort"
-	"strconv"
 	"sync"
 
 	"jobgraph/internal/dag"
@@ -52,7 +47,7 @@ func HashedFeatures(graphs []*dag.Graph, opt Options, buckets, workers int) ([]V
 			defer wg.Done()
 			// One embedder per worker: scratch buffers and the token
 			// cache amortize across every graph the worker embeds.
-			e := newHashedEmbedder(buckets)
+			e := newEmbedder(nil, nil, buckets)
 			for i := range work {
 				// Each index is owned by exactly one worker; no locks.
 				out[i] = e.embed(graphs[i], opt)
@@ -71,158 +66,7 @@ func HashedFeatures(graphs []*dag.Graph, opt Options, buckets, workers int) ([]V
 // throwaway embedder — the one-off entry point for callers outside the
 // batched HashedFeatures fan-out (e.g. ANNIndex.AddGraph).
 func hashedEmbed(g *dag.Graph, opt Options, buckets int) Vector {
-	return newHashedEmbedder(buckets).embed(g, opt)
-}
-
-// hashedEmbedder is the feature-hashing analogue of fastEmbedder (see
-// embed_fast.go for the label-code scheme): node labels are int32 refs,
-// compressed tokens "#<iteration>/<bucket>" live in a cache keyed by
-// (iteration, bucket), and each token's record bucket — the FNV bucket
-// of the token string itself, exactly what the legacy path computed by
-// re-hashing per node — is resolved once. Vectors are byte-identical to
-// the historical hashedEmbed: the composed refined labels, the FNV-1a
-// hashes, and the bucket arithmetic all operate on the same bytes.
-type hashedEmbedder struct {
-	buckets int
-
-	codes []int32
-	next  []int32
-	forms [][]byte
-	buf   []byte
-
-	// initBucket[i] is bucketOf(initLabels[i]), resolved on first use.
-	initBucket [numInitLabels]int32
-
-	toks   []hashedTok
-	tokRef map[[2]int]int32 // (iteration, bucket) -> index into toks
-}
-
-// hashedTok is one distinct compressed token: its byte form (used when
-// composing the next round's labels) and the vector bucket its
-// occurrences count into.
-type hashedTok struct {
-	form []byte
-	rec  int
-}
-
-func newHashedEmbedder(buckets int) *hashedEmbedder {
-	e := &hashedEmbedder{buckets: buckets, tokRef: make(map[[2]int]int32)}
-	for i := range e.initBucket {
-		e.initBucket[i] = keyUnresolved
-	}
-	return e
-}
-
-// embed computes one graph's hashed WL subtree vector.
-func (e *hashedEmbedder) embed(g *dag.Graph, opt Options) Vector {
-	vec := make(Vector)
-	n := g.NumNodes()
-	if n == 0 {
-		return vec
-	}
-	e.codes = resizeRefs(e.codes, n)
-	e.next = resizeRefs(e.next, n)
-	for p := 0; p < n; p++ {
-		e.codes[p] = initRef(g.NodeAt(p).Type, opt.UseTypeLabels)
-	}
-	e.record(vec, n)
-	for it := 0; it < opt.Iterations; it++ {
-		for p := 0; p < n; p++ {
-			e.compose(g, p, opt.Undirected)
-			// Compress via hashing (stable across graphs, no shared state).
-			e.next[p] = e.tokenRef(it, int(fnvSum(e.buf)%uint64(e.buckets)))
-		}
-		e.codes, e.next = e.next, e.codes
-		e.record(vec, n)
-	}
-	return vec
-}
-
-func (e *hashedEmbedder) form(ref int32) []byte {
-	if ref < tokenBase {
-		return initForms[ref]
-	}
-	return e.toks[ref-tokenBase].form
-}
-
-// compose builds node p's refined label into e.buf; same byte format as
-// fastEmbedder.compose (and the legacy refineLabel).
-func (e *hashedEmbedder) compose(g *dag.Graph, p int, undirected bool) {
-	preds, succs := g.PredPos(p), g.SuccPos(p)
-	buf := append(e.buf[:0], e.form(e.codes[p])...)
-	if undirected {
-		f := e.gather(preds, nil)
-		f = e.gather(succs, f)
-		slices.SortFunc(f, bytes.Compare)
-		buf = append(buf, '(')
-		buf = joinForms(buf, f)
-		e.buf = append(buf, ')')
-		return
-	}
-	f := e.gather(preds, nil)
-	slices.SortFunc(f, bytes.Compare)
-	buf = append(buf, "(P:"...)
-	buf = joinForms(buf, f)
-	f = e.gather(succs, nil)
-	slices.SortFunc(f, bytes.Compare)
-	buf = append(buf, "|S:"...)
-	buf = joinForms(buf, f)
-	e.buf = append(buf, ')')
-}
-
-func (e *hashedEmbedder) gather(nbrs []int32, dst [][]byte) [][]byte {
-	if dst == nil {
-		dst = e.forms[:0]
-	}
-	for _, q := range nbrs {
-		dst = append(dst, e.form(e.codes[q]))
-	}
-	e.forms = dst
-	return dst
-}
-
-// tokenRef resolves the ref of token "#<it>/<bucket>", materializing
-// its byte form and record bucket on first sighting.
-func (e *hashedEmbedder) tokenRef(it, bucket int) int32 {
-	k := [2]int{it, bucket}
-	if ref, ok := e.tokRef[k]; ok {
-		return ref
-	}
-	form := strconv.AppendInt([]byte{'#'}, int64(it), 10)
-	form = append(form, '/')
-	form = strconv.AppendInt(form, int64(bucket), 10)
-	ref := tokenBase + int32(len(e.toks))
-	e.toks = append(e.toks, hashedTok{form: form, rec: int(fnvSum(form) % uint64(e.buckets))})
-	e.tokRef[k] = ref
-	return ref
-}
-
-func (e *hashedEmbedder) record(vec Vector, n int) {
-	for p := 0; p < n; p++ {
-		ref := e.codes[p]
-		if ref < tokenBase {
-			if e.initBucket[ref] == keyUnresolved {
-				e.initBucket[ref] = int32(bucketOf(initLabels[ref], e.buckets))
-			}
-			vec[int(e.initBucket[ref])]++
-			continue
-		}
-		vec[e.toks[ref-tokenBase].rec]++
-	}
-}
-
-// bucketOf hashes a label into [0, buckets).
-func bucketOf(label string, buckets int) int {
-	h := fnv.New64a()
-	h.Write([]byte(label))
-	return int(h.Sum64() % uint64(buckets))
-}
-
-// hashedToken renames a refined label to a compact, iteration-tagged
-// token so labels from different refinement depths never collide by
-// construction (only within-iteration hash collisions remain).
-func hashedToken(label string, buckets, iteration int) string {
-	return fmt.Sprintf("#%d/%d", iteration, bucketOf(label, buckets))
+	return newEmbedder(nil, nil, buckets).embed(g, opt)
 }
 
 // CollisionRate estimates the fraction of distinct exact labels that
@@ -242,23 +86,18 @@ func CollisionRate(graphs []*dag.Graph, opt Options, buckets int) (float64, erro
 			return 0, err
 		}
 	}
-	labels := make([]string, 0, len(d.ids))
-	for l := range d.ids {
-		labels = append(labels, l)
-	}
-	sort.Strings(labels)
-	byBucket := make(map[int]int, len(labels))
-	for _, l := range labels {
-		byBucket[bucketOf(l, buckets)]++
-	}
-	if len(labels) == 0 {
+	if d.Len() == 0 {
 		return 0, nil
 	}
+	byBucket := make(map[uint64]int, d.Len())
+	for l := range d.ids {
+		byBucket[fnvSum([]byte(l))%uint64(buckets)]++
+	}
 	colliding := 0
-	for _, l := range labels {
-		if byBucket[bucketOf(l, buckets)] > 1 {
-			colliding++
+	for _, c := range byBucket {
+		if c > 1 {
+			colliding += c
 		}
 	}
-	return float64(colliding) / float64(len(labels)), nil
+	return float64(colliding) / float64(d.Len()), nil
 }

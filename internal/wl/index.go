@@ -135,14 +135,8 @@ func LoadIndex(r io.Reader) (*Index, error) {
 	if ix.dict.ids == nil {
 		ix.dict.ids = make(map[string]int)
 	}
-	// Validate dictionary ids are a dense 0..n-1 assignment so future
-	// interning cannot collide.
-	seen := make(map[int]bool, len(ix.dict.ids))
-	for _, id := range ix.dict.ids {
-		if id < 0 || id >= len(ix.dict.ids) || seen[id] {
-			return nil, fmt.Errorf("wl: corrupt dictionary id %d", id)
-		}
-		seen[id] = true
+	if err := checkIDs(ix.dict.ids); err != nil {
+		return nil, err
 	}
 	for i, m := range wire.Vectors {
 		v := make(Vector, len(m))

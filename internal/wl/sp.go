@@ -1,10 +1,6 @@
 package wl
 
-import (
-	"fmt"
-
-	"jobgraph/internal/dag"
-)
+import "fmt"
 
 // BaseKernel selects the substructure counted at every WL iteration.
 // The paper's kernel definition admits "a base kernel function, such as
@@ -39,58 +35,5 @@ func (b BaseKernel) String() string {
 		return "edge"
 	default:
 		return fmt.Sprintf("base(%d)", int(b))
-	}
-}
-
-// shortestPaths computes directed unit-weight shortest-path distances
-// from every vertex via BFS. dist[u][v] is absent when v is unreachable
-// from u.
-func shortestPaths(g *dag.Graph) map[dag.NodeID]map[dag.NodeID]int {
-	ids := g.NodeIDs()
-	all := make(map[dag.NodeID]map[dag.NodeID]int, len(ids))
-	for _, src := range ids {
-		dist := map[dag.NodeID]int{src: 0}
-		queue := []dag.NodeID{src}
-		for len(queue) > 0 {
-			u := queue[0]
-			queue = queue[1:]
-			for _, v := range g.Succ(u) {
-				if _, seen := dist[v]; !seen {
-					dist[v] = dist[u] + 1
-					queue = append(queue, v)
-				}
-			}
-		}
-		all[src] = dist
-	}
-	return all
-}
-
-// recordEdge interns one iteration's edge pairs and node labels into
-// the vector (labels unknown to a frozen view are skipped).
-func recordEdge(ld labeler, vec Vector, g *dag.Graph, labels map[dag.NodeID]string) {
-	for _, u := range g.NodeIDs() {
-		if id, ok := ld.labelID("N|" + labels[u]); ok {
-			vec[id]++
-		}
-		for _, v := range g.Succ(u) {
-			if id, ok := ld.labelID(fmt.Sprintf("E|%s|%s", labels[u], labels[v])); ok {
-				vec[id]++
-			}
-		}
-	}
-}
-
-// recordShortestPath interns one iteration's shortest-path triples into
-// the vector (labels unknown to a frozen view are skipped).
-func recordShortestPath(ld labeler, vec Vector,
-	labels map[dag.NodeID]string, dists map[dag.NodeID]map[dag.NodeID]int) {
-	for u, row := range dists {
-		lu := labels[u]
-		for v, dist := range row {
-			if id, ok := ld.labelID(fmt.Sprintf("SP|%s|%s|%d", lu, labels[v], dist)); ok {
-				vec[id]++
-			}
-		}
 	}
 }

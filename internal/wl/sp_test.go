@@ -26,13 +26,23 @@ func TestSPSelfSimilarityOne(t *testing.T) {
 }
 
 func TestSPDistancesChain(t *testing.T) {
-	g := chainGraph(t, "c", 4)
-	dists := shortestPaths(g)
-	if dists[1][4] != 3 || dists[1][2] != 1 || dists[2][2] != 0 {
-		t.Fatalf("chain distances: %v", dists)
+	g := chainGraph(t, "c", 4) // positions 0..3 hold nodes 1..4
+	dist := []int32{-1, -1, -1, -1}
+	from := func(src int32) []int32 {
+		t.Helper()
+		for i := range dist {
+			dist[i] = -1
+		}
+		return bfsFrom(g, src, dist, nil)
 	}
-	if _, reachable := dists[4][1]; reachable {
-		t.Fatal("directed SP should not go backwards")
+	if reached := from(0); len(reached) != 4 || dist[3] != 3 || dist[1] != 1 {
+		t.Fatalf("chain distances from node 1: reached %v, dist %v", reached, dist)
+	}
+	if reached := from(1); reached[0] != 1 || dist[1] != 0 {
+		t.Fatalf("self pair of node 2: reached %v, dist %v", reached, dist)
+	}
+	if reached := from(3); len(reached) != 1 || dist[0] != -1 {
+		t.Fatalf("directed SP should not go backwards: reached %v, dist %v", reached, dist)
 	}
 }
 

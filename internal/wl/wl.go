@@ -16,10 +16,7 @@ import (
 	"bytes"
 	"encoding/gob"
 	"fmt"
-	"hash/fnv"
 	"math"
-	"sort"
-	"strings"
 	"sync"
 
 	"jobgraph/internal/dag"
@@ -144,11 +141,11 @@ func normalizeKernel(kab, ka, kb float64) float64 {
 type Dictionary struct {
 	ids map[string]int
 
-	// fe is the dictionary's reusable refinement state for the subtree
-	// fast path (see embed_fast.go), created on first Embed. Embed
-	// mutates the dictionary, so callers already serialize; reusing one
-	// embedder adds no new concurrency constraint.
-	fe *fastEmbedder
+	// fe is the dictionary's reusable refinement state (see
+	// embed_fast.go), created on first Embed. Embed mutates the
+	// dictionary, so callers already serialize; reusing one embedder
+	// adds no new concurrency constraint.
+	fe *embedder
 }
 
 // NewDictionary returns an empty label dictionary.
@@ -156,26 +153,18 @@ func NewDictionary() *Dictionary {
 	return &Dictionary{ids: make(map[string]int)}
 }
 
-// id interns a label.
-func (d *Dictionary) id(label string) int {
-	if v, ok := d.ids[label]; ok {
+// intern returns a label's id, assigning the next one if it is new.
+func (d *Dictionary) intern(label []byte) int {
+	if v, ok := d.ids[string(label)]; ok {
 		return v
 	}
 	v := len(d.ids)
-	d.ids[label] = v
+	d.ids[string(label)] = v
 	return v
 }
 
 // Len returns the number of distinct labels interned so far.
 func (d *Dictionary) Len() int { return len(d.ids) }
-
-// labeler abstracts label-to-id resolution for embed: the mutable
-// Dictionary interns unseen labels, a Frozen view reports them absent.
-type labeler interface {
-	labelID(label string) (int, bool)
-}
-
-func (d *Dictionary) labelID(label string) (int, bool) { return d.id(label), true }
 
 // Frozen is an immutable snapshot of a Dictionary for concurrent
 // serving: Embed on a Frozen never mutates shared state, so any number
@@ -186,7 +175,7 @@ func (d *Dictionary) labelID(label string) (int, bool) { return d.id(label), tru
 type Frozen struct {
 	ids map[string]int
 
-	// pool recycles fastEmbedder scratch across concurrent Embed calls;
+	// pool recycles embedder scratch across concurrent Embed calls;
 	// every pooled embedder is bound to this frozen view, so cached
 	// label keys never leak across label spaces.
 	pool sync.Pool
@@ -201,11 +190,6 @@ func (d *Dictionary) Freeze() *Frozen {
 	return &Frozen{ids: ids}
 }
 
-func (f *Frozen) labelID(label string) (int, bool) {
-	v, ok := f.ids[label]
-	return v, ok
-}
-
 // Len returns the number of labels in the frozen view.
 func (f *Frozen) Len() int { return len(f.ids) }
 
@@ -215,17 +199,13 @@ func (f *Frozen) Embed(g *dag.Graph, opt Options) (Vector, error) {
 	if err := opt.validate(); err != nil {
 		return nil, err
 	}
-	if opt.Base == BaseSubtree {
-		e, _ := f.pool.Get().(*fastEmbedder)
-		if e == nil {
-			e = newFastEmbedder(nil, f)
-		}
-		vec := make(Vector)
-		e.embedInto(vec, g, opt)
-		f.pool.Put(e)
-		return vec, nil
+	e, _ := f.pool.Get().(*embedder)
+	if e == nil {
+		e = newEmbedder(nil, f, 0)
 	}
-	return embed(f, g, opt)
+	vec := e.embed(g, opt)
+	f.pool.Put(e)
+	return vec, nil
 }
 
 // GobEncode implements gob.GobEncoder so analyses cached by the engine
@@ -245,9 +225,26 @@ func (d *Dictionary) GobDecode(data []byte) error {
 	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&ids); err != nil {
 		return fmt.Errorf("wl: decoding dictionary: %w", err)
 	}
+	if err := checkIDs(ids); err != nil {
+		return err
+	}
 	d.ids = ids
 	// Any embedder cached keys against the previous label space.
 	d.fe = nil
+	return nil
+}
+
+// checkIDs requires a dictionary's ids to be exactly 0..len-1, each
+// once: anything else would make interning collide, and a negative or
+// huge id would index (or grow) the embedder's token tables.
+func checkIDs(ids map[string]int) error {
+	seen := make([]bool, len(ids))
+	for _, id := range ids {
+		if id < 0 || id >= len(ids) || seen[id] {
+			return fmt.Errorf("wl: corrupt dictionary id %d", id)
+		}
+		seen[id] = true
+	}
 	return nil
 }
 
@@ -259,133 +256,10 @@ func (d *Dictionary) Embed(g *dag.Graph, opt Options) (Vector, error) {
 	if err := opt.validate(); err != nil {
 		return nil, err
 	}
-	if opt.Base == BaseSubtree {
-		if d.fe == nil {
-			d.fe = newFastEmbedder(d, nil)
-		}
-		vec := make(Vector)
-		d.fe.embedInto(vec, g, opt)
-		return vec, nil
+	if d.fe == nil {
+		d.fe = newEmbedder(d, nil, 0)
 	}
-	return embed(d, g, opt)
-}
-
-// embed is the shared refinement loop behind Dictionary.Embed (interning)
-// and Frozen.Embed (read-only). Under a Dictionary the two behave
-// identically to the historical Embed; under a Frozen view, labels the
-// dictionary never saw are skipped when recording and compressed by
-// content hash instead of by id.
-func embed(ld labeler, g *dag.Graph, opt Options) (Vector, error) {
-	if err := opt.validate(); err != nil {
-		return nil, err
-	}
-	vec := make(Vector)
-	ids := g.NodeIDs()
-	if len(ids) == 0 {
-		return vec, nil
-	}
-
-	labels := make(map[dag.NodeID]string, len(ids))
-	for _, id := range ids {
-		if opt.UseTypeLabels {
-			labels[id] = g.Node(id).Type.String()
-		} else {
-			labels[id] = "·"
-		}
-	}
-	var dists map[dag.NodeID]map[dag.NodeID]int
-	if opt.Base == BaseShortestPath {
-		// Distances are label-independent; compute once, reuse across
-		// iterations with each round's refined labels.
-		dists = shortestPaths(g)
-	}
-	record := func() {
-		switch opt.Base {
-		case BaseShortestPath:
-			recordShortestPath(ld, vec, labels, dists)
-		case BaseEdge:
-			recordEdge(ld, vec, g, labels)
-		default:
-			for _, id := range ids {
-				if v, ok := ld.labelID(labels[id]); ok {
-					vec[v]++
-				}
-			}
-		}
-	}
-	record() // iteration 0
-
-	for it := 0; it < opt.Iterations; it++ {
-		next := make(map[dag.NodeID]string, len(ids))
-		for _, id := range ids {
-			next[id] = refineLabel(g, id, labels, opt.Undirected)
-		}
-		// Compress through the dictionary so label strings don't grow
-		// exponentially across iterations. Unseen labels under a frozen
-		// view compress by content hash: still deterministic and
-		// fixed-width, just outside the learned id space.
-		for id, l := range next {
-			if v, ok := ld.labelID(l); ok {
-				next[id] = fmt.Sprintf("#%d", v)
-			} else {
-				next[id] = hashLabel(l)
-			}
-		}
-		labels = next
-		record()
-	}
-	obsEmbeds.Add(1)
-	obsRefineRounds.Add(int64(opt.Iterations))
-	obsVectorSize.Observe(float64(len(vec)))
-	if d, ok := ld.(*Dictionary); ok {
-		obsDictLabels.Set(int64(d.Len()))
-	}
-	return vec, nil
-}
-
-// hashLabel compresses a refined label absent from a frozen dictionary:
-// deterministic and fixed-width so refinement stays bounded, and
-// prefixed so it can never collide with a "#id" compression.
-func hashLabel(l string) string {
-	h := fnv.New64a()
-	h.Write([]byte(l))
-	return fmt.Sprintf("?%016x", h.Sum64())
-}
-
-// refineLabel builds the iteration-(i+1) label string for one node.
-func refineLabel(g *dag.Graph, id dag.NodeID, labels map[dag.NodeID]string, undirected bool) string {
-	var b strings.Builder
-	b.WriteString(labels[id])
-	if undirected {
-		nbr := make([]string, 0, g.InDegree(id)+g.OutDegree(id))
-		for _, p := range g.Pred(id) {
-			nbr = append(nbr, labels[p])
-		}
-		for _, s := range g.Succ(id) {
-			nbr = append(nbr, labels[s])
-		}
-		sort.Strings(nbr)
-		b.WriteString("(")
-		b.WriteString(strings.Join(nbr, ","))
-		b.WriteString(")")
-		return b.String()
-	}
-	preds := make([]string, 0, g.InDegree(id))
-	for _, p := range g.Pred(id) {
-		preds = append(preds, labels[p])
-	}
-	succs := make([]string, 0, g.OutDegree(id))
-	for _, s := range g.Succ(id) {
-		succs = append(succs, labels[s])
-	}
-	sort.Strings(preds)
-	sort.Strings(succs)
-	b.WriteString("(P:")
-	b.WriteString(strings.Join(preds, ","))
-	b.WriteString("|S:")
-	b.WriteString(strings.Join(succs, ","))
-	b.WriteString(")")
-	return b.String()
+	return d.fe.embed(g, opt), nil
 }
 
 // Features embeds every graph with one shared dictionary and returns the

@@ -295,24 +295,39 @@ func TestSimilaritySymmetricBoundedProperty(t *testing.T) {
 	}
 }
 
+// TestEmbedDeterministic requires every base kernel to embed a graph
+// identically into two fresh dictionaries (ids follow the walk order,
+// never map order) and identically again into the same dictionary.
 func TestEmbedDeterministic(t *testing.T) {
-	g := chainGraph(t, "c", 6)
-	d := NewDictionary()
-	v1, err := d.Embed(g, DefaultOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
-	v2, err := d.Embed(g, DefaultOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(v1) != len(v2) {
-		t.Fatalf("vectors differ in support: %d vs %d", len(v1), len(v2))
-	}
-	for k, c := range v1 {
-		if v2[k] != c {
-			t.Fatalf("vectors differ at label %d: %g vs %g", k, c, v2[k])
-		}
+	g := randomDAG(rand.New(rand.NewSource(7)), "r", 12)
+	for _, base := range []BaseKernel{BaseSubtree, BaseEdge, BaseShortestPath} {
+		t.Run(base.String(), func(t *testing.T) {
+			opt := DefaultOptions()
+			opt.Base = base
+			d := NewDictionary()
+			v1, err := d.Embed(g, opt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			again, err := d.Embed(g, opt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			fresh, err := NewDictionary().Embed(g, opt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for name, v2 := range map[string]Vector{"same dictionary": again, "fresh dictionary": fresh} {
+				if len(v1) != len(v2) {
+					t.Fatalf("%s: vectors differ in support: %d vs %d", name, len(v1), len(v2))
+				}
+				for k, c := range v1 {
+					if v2[k] != c {
+						t.Fatalf("%s: vectors differ at label %d: %g vs %g", name, k, c, v2[k])
+					}
+				}
+			}
+		})
 	}
 }
 
