@@ -8,6 +8,7 @@ package jobgraph_test
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 
@@ -356,25 +357,26 @@ func BenchmarkBaselineHierarchical(b *testing.B) {
 	}
 }
 
-// BenchmarkIndexQuery measures a nearest-neighbour lookup against a
-// 100-job similarity index (the similarity-search application).
+// BenchmarkIndexQuery measures a nearest-neighbour lookup of a graph
+// (embed, sketch, probe, re-rank) against a 100-job similarity index
+// (the similarity-search application).
 func BenchmarkIndexQuery(b *testing.B) {
 	f := getFixture(b)
-	ix, err := wl.NewIndex(wl.DefaultOptions())
+	ix, err := wl.NewANNIndex(wl.DefaultOptions(), wl.DefaultSketchOptions())
 	if err != nil {
 		b.Fatal(err)
 	}
 	for i, g := range f.sample {
 		c := g.Clone()
 		c.JobID = fmt.Sprintf("job-%d", i)
-		if err := ix.Add(c); err != nil {
+		if err := ix.AddGraph(c); err != nil {
 			b.Fatal(err)
 		}
 	}
 	query := f.sample[0]
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := ix.Query(query, 10); err != nil {
+		if _, err := ix.QueryGraph(query, 10); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -395,15 +397,24 @@ func annBenchCorpus(b *testing.B, n int) (*wl.ANNIndex, []string) {
 		}
 		protos[i] = keys
 	}
-	vecs := make([]wl.Vector, n)
+	vecs := make([]wl.CompactVector, n)
 	ids := make([]string, n)
 	for i := 0; i < n; i++ {
-		v := make(wl.Vector)
+		v := make(map[int32]float64)
 		for _, k := range protos[rng.Intn(len(protos))] {
-			v[int(k)] = float64(1 + rng.Intn(3))
+			v[k] = float64(1 + rng.Intn(3))
 		}
-		v[rng.Intn(1<<20)] = 1
-		vecs[i] = v
+		v[int32(rng.Intn(1<<20))] = 1
+		keys := make([]int32, 0, len(v))
+		for k := range v {
+			keys = append(keys, k)
+		}
+		slices.Sort(keys)
+		vals := make([]float64, len(keys))
+		for j, k := range keys {
+			vals[j] = v[k]
+		}
+		vecs[i] = wl.CompactVector{Keys: keys, Vals: vals}
 		ids[i] = fmt.Sprintf("bench-job-%d", i)
 	}
 	sigs, err := wl.Sketches(vecs, opt, 0)
@@ -420,7 +431,7 @@ func annBenchCorpus(b *testing.B, n int) (*wl.ANNIndex, []string) {
 
 // BenchmarkANNQuery measures a banded-LSH top-k query (candidate lookup
 // plus exact cosine re-rank) against a 100k-job sketch index — the
-// sublinear path that replaces the O(n) exact index scan at scale.
+// sublinear path that replaces an O(n) scan of every vector at scale.
 func BenchmarkANNQuery(b *testing.B) {
 	ix, ids := annBenchCorpus(b, 100_000)
 	b.ResetTimer()

@@ -144,8 +144,12 @@ func run() error {
 	runA7(jobs, *seed)
 	runA8(an)
 	runE10(graphs)
-	runE11(an, cands, jobs, *seed)
-	runE12(an, cands, *seed)
+	model, err := core.ExtractModel(an, cfg.Conflate)
+	if err != nil {
+		return fmt.Errorf("reproduce: %v", err)
+	}
+	runE11(model, cands, *seed)
+	runE12(model, cands, *seed)
 	return nil
 }
 
@@ -496,8 +500,9 @@ func runA8(an *core.Analysis) {
 		must(err)
 		hashed, err := wl.HashedFeatures(an.Graphs, opt, buckets, 0)
 		must(err)
-		hm, err := wl.MatrixFromVectors(hashed, 0)
+		sym, err := wl.SymMatrixFromCompactOpts(hashed, wl.MatrixOptions{})
 		must(err)
+		hm := sym.Dense()
 		var diff, cnt float64
 		for i := range hm.Data {
 			d := hm.Data[i] - an.Similarity.Data[i]
@@ -543,10 +548,11 @@ func runE10(graphs []*dag.Graph) {
 	fmt.Println()
 }
 
-func runE11(an *core.Analysis, cands []sampling.Candidate, jobs []trace.Job, seed int64) {
+func runE11(model *core.Model, cands []sampling.Candidate, seed int64) {
 	fmt.Println("== E11 (extension): group co-location on machines ==")
-	// Label a slice of the eligible population by nearest group (the
-	// AssignGroup classifier), then check which groups share machines.
+	// Label a slice of the eligible population by nearest group
+	// centroid (the serving model's classifier), then check which
+	// groups share machines.
 	n := len(cands)
 	if n > 1500 {
 		n = 1500
@@ -554,12 +560,11 @@ func runE11(an *core.Analysis, cands []sampling.Candidate, jobs []trace.Job, see
 	jobGroup := make(map[string]string, n)
 	var records []trace.TaskRecord
 	for i := 0; i < n; i++ {
-		gp, _, err := an.AssignGroup(cands[i].Graph)
+		gp, _, err := model.Classify(cands[i].Graph)
 		must(err)
 		jobGroup[cands[i].Job.Name] = gp.Name
 		records = append(records, cands[i].Job.Tasks...)
 	}
-	_ = jobs
 	instances, err := tracegen.GenerateInstances(records, tracegen.DefaultInstanceConfig(seed))
 	must(err)
 	res, err := coloc.Analyze(instances, jobGroup)
@@ -576,7 +581,7 @@ func runE11(an *core.Analysis, cands []sampling.Candidate, jobs []trace.Job, see
 	fmt.Println()
 }
 
-func runE12(an *core.Analysis, cands []sampling.Candidate, seed int64) {
+func runE12(model *core.Model, cands []sampling.Candidate, seed int64) {
 	fmt.Println("== E12 (extension): placement policy vs co-location and imbalance ==")
 	n := len(cands)
 	if n > 1000 {
@@ -585,7 +590,7 @@ func runE12(an *core.Analysis, cands []sampling.Candidate, seed int64) {
 	pjobs := make([]sched.PlacementJob, 0, n)
 	jobGroup := make(map[string]string, n)
 	for i := 0; i < n; i++ {
-		gp, _, err := an.AssignGroup(cands[i].Graph)
+		gp, _, err := model.Classify(cands[i].Graph)
 		must(err)
 		total := 0
 		for _, id := range cands[i].Graph.NodeIDs() {

@@ -13,6 +13,7 @@ import (
 	"math/rand"
 	"os"
 	"runtime"
+	"slices"
 	"sort"
 	"time"
 
@@ -224,7 +225,10 @@ func annRecallCheck(af *annFlags, an *core.Analysis, cfg core.Config, rep *gateR
 	// structurally noisy at n=100, so the gate asserts recall, not this.
 	pts := make([]map[int]float64, len(an.HashedVectors))
 	for i, v := range an.HashedVectors {
-		pts[i] = v
+		pts[i] = make(map[int]float64, len(v.Keys))
+		for j, k := range v.Keys {
+			pts[i][int(k)] = v.Vals[j]
+		}
 	}
 	mb, err := cluster.MiniBatchKMeans(pts, cluster.MiniBatchKMeansOptions{K: cfg.Groups, Seed: cfg.Seed})
 	if err != nil {
@@ -330,11 +334,11 @@ func annScaleProbe(af *annFlags, rep *gateReport, workers int) error {
 			protos[p][i] = rng.Intn(sk.Buckets)
 		}
 	}
-	vectors := make([]wl.Vector, n)
+	vectors := make([]wl.CompactVector, n)
 	jobIDs := make([]string, n)
 	for i := 0; i < n; i++ {
 		proto := protos[rng.Intn(nProto)]
-		v := make(wl.Vector, len(proto))
+		v := make(map[int]float64, len(proto)+2)
 		for _, feat := range proto {
 			v[feat] = float64(1 + rng.Intn(3))
 		}
@@ -343,7 +347,15 @@ func annScaleProbe(af *annFlags, rep *gateReport, workers int) error {
 		for m := 0; m < 2; m++ {
 			v[rng.Intn(sk.Buckets)] = 1
 		}
-		vectors[i] = v
+		var cv wl.CompactVector
+		for feat := range v {
+			cv.Keys = append(cv.Keys, int32(feat))
+		}
+		slices.Sort(cv.Keys)
+		for _, k := range cv.Keys {
+			cv.Vals = append(cv.Vals, v[int(k)])
+		}
+		vectors[i] = cv
 		jobIDs[i] = fmt.Sprintf("synth-%08d", i)
 	}
 

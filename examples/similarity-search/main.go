@@ -1,7 +1,8 @@
-// Similarity-search: index a job population with WL feature vectors and
-// answer nearest-neighbour queries — "which existing jobs look like this
-// incoming job?", the building block for the paper's scheduling use
-// case (predicting resource demands of new jobs from similar old ones).
+// Similarity-search: index a job population with hashed WL feature
+// vectors in a MinHash/LSH index and answer nearest-neighbour queries —
+// "which existing jobs look like this incoming job?", the building block
+// for the paper's scheduling use case (predicting resource demands of
+// new jobs from similar old ones).
 package main
 
 import (
@@ -29,22 +30,22 @@ func main() {
 	// Build a persistent similarity index, round-trip it through its
 	// JSON form (as a long-lived service would), and query the loaded
 	// copy.
-	built, err := wl.NewIndex(wl.DefaultOptions())
+	built, err := wl.NewANNIndex(wl.DefaultOptions(), wl.DefaultSketchOptions())
 	if err != nil {
 		log.Fatal(err)
 	}
 	byID := make(map[string]*dag.Graph, len(corpus))
 	for _, g := range corpus {
-		if err := built.Add(g); err != nil {
+		if err := built.AddGraph(g); err != nil {
 			log.Fatal(err)
 		}
 		byID[g.JobID] = g
 	}
 	var stored bytes.Buffer
-	if err := built.Save(&stored); err != nil {
+	if err := built.SaveJSON(&stored); err != nil {
 		log.Fatal(err)
 	}
-	index, err := wl.LoadIndex(&stored)
+	index, err := wl.LoadANNIndexJSON(&stored)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -69,11 +70,15 @@ func main() {
 	}
 	fmt.Printf("query job:\n%s\n", query.ASCII())
 
-	hits, err := index.Query(query, 5)
+	hits, err := index.QueryGraph(query, 5)
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Println("top 5 most similar corpus jobs:")
+	if len(hits) == 0 {
+		fmt.Println("no corpus job shares an LSH bucket with the query")
+		return
+	}
+	fmt.Printf("top %d most similar corpus jobs:\n", len(hits))
 	for _, h := range hits {
 		g := byID[h.JobID]
 		depth, _ := g.Depth()

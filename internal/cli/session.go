@@ -146,8 +146,8 @@ func (s *RunSession) TermErr() error {
 }
 
 // OnTerminate registers fn to run (on the signal goroutine) when the
-// first termination signal arrives. Registered after the signal, fn
-// runs immediately.
+// first termination signal arrives, before Terminated closes.
+// Registered after the signal, fn runs immediately.
 func (s *RunSession) OnTerminate(fn func()) {
 	if s == nil || fn == nil {
 		return
@@ -303,10 +303,12 @@ func (o *ObsFlags) Start(command string) (*RunSession, error) {
 		s.termHooks = nil
 		s.mu.Unlock()
 		lg.Warn("termination signal received; finishing cooperatively (signal again to force exit)", "signal", sig)
-		close(s.termCh)
+		// Hooks run before the close, so a receiver woken by
+		// Terminated observes every hook's effects.
 		for _, fn := range hooks {
 			fn()
 		}
+		close(s.termCh)
 	})
 
 	if o.Watchdog > 0 {

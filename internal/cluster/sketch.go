@@ -12,8 +12,8 @@
 //     already consider similar. Centers are actual jobs (exemplars).
 //
 // Both operate on []map[int]float64 — plain sparse vectors — so the
-// package stays decoupled from internal/wl; callers convert wl.Vector
-// element-wise. The exact spectral path (spectral.go) remains the
+// package stays decoupled from internal/wl; callers convert each
+// wl.CompactVector. The exact spectral path (spectral.go) remains the
 // reference on ≤100-job samples; the agreement between the two is part
 // of the accuracy-vs-speed gate.
 package cluster

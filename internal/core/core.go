@@ -217,7 +217,7 @@ type Analysis struct {
 	// HashedVectors are the feature-hashed WL embeddings backing
 	// ANNIndex, index-aligned with Sample/Graphs (nil without
 	// Config.ANN).
-	HashedVectors []wl.Vector
+	HashedVectors []wl.CompactVector
 
 	// SlowJobs are the top-k slowest jobs measured inside the dag.jobs
 	// worker pool, slowest first (see Config.SlowJobK). Wall-clock
@@ -239,10 +239,10 @@ type Analysis struct {
 	// indexStages when Run assembles the analysis.
 	stageIdx map[string]time.Duration
 
-	// Kernel state retained for classifying new jobs (AssignGroup).
+	// Kernel state ExtractModel distills into a classifier.
 	wlOpts  wl.Options
 	dict    *wl.Dictionary
-	vectors []wl.Vector
+	vectors []wl.CompactVector
 }
 
 // StageTiming is one pipeline stage's measured wall time.
@@ -300,38 +300,6 @@ func (an *Analysis) Fingerprint() (string, error) {
 	}
 	sum := sha256.Sum256(b)
 	return hex.EncodeToString(sum[:]), nil
-}
-
-// AssignGroup classifies a job that was not part of the analysis into
-// the most similar existing group: the job is embedded with the
-// analysis's WL dictionary and assigned to the group with the highest
-// mean kernel similarity to its members. This is the paper's intended
-// application — predicting a new job's behaviour from the group of
-// structurally similar historical jobs.
-//
-// If the analysis ran with Config.Conflate, pass a conflated graph here
-// too (conflate.Conflate) so the query lives in the same representation
-// as the indexed corpus.
-func (an *Analysis) AssignGroup(g *dag.Graph) (GroupProfile, float64, error) {
-	if an.dict == nil || len(an.vectors) != len(an.Graphs) {
-		return GroupProfile{}, 0, fmt.Errorf("core: analysis lacks kernel state")
-	}
-	vec, err := an.dict.Embed(g, an.wlOpts)
-	if err != nil {
-		return GroupProfile{}, 0, err
-	}
-	bestIdx, bestScore := -1, -1.0
-	for gi, gp := range an.Groups {
-		var sum float64
-		for _, m := range gp.Members {
-			sum += wl.Similarity(vec, an.vectors[m])
-		}
-		score := sum / float64(len(gp.Members))
-		if score > bestScore {
-			bestIdx, bestScore = gi, score
-		}
-	}
-	return an.Groups[bestIdx], bestScore, nil
 }
 
 // sizeQuantileLabels groups graphs into k contiguous job-size quantile

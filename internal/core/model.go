@@ -13,7 +13,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
-	"sort"
+	"slices"
 	"sync"
 	"time"
 
@@ -36,7 +36,7 @@ type ModelGroup struct {
 	// Centroid is the L2-normalized mean of the members' normalized WL
 	// feature vectors. Classification scores a query by its cosine
 	// similarity to each centroid.
-	Centroid wl.Vector
+	Centroid wl.CompactVector
 	// MeanInstances/MeanPlanCPU/MeanDuration are the group's mean
 	// resource demand — the prediction a group label buys.
 	MeanInstances float64
@@ -119,71 +119,72 @@ func ExtractModel(an *Analysis, conflate bool) (*Model, error) {
 
 // centroid returns the L2-normalized mean of the members' normalized
 // feature vectors. Normalizing each member first keeps one huge job
-// from dominating its group's direction. All floating-point reductions
-// run in sorted key order: fractional components make summation order
-// visible in the last bits, and a model must classify identically on
-// every machine that loads it.
-func centroid(vectors []wl.Vector, members []int) wl.Vector {
-	c := make(wl.Vector)
+// from dominating its group's direction. Members merge in member order
+// and the norm accumulates in key order: fractional components make
+// summation order visible in the last bits, and a model must classify
+// identically on every machine that loads it.
+func centroid(vectors []wl.CompactVector, members []int) wl.CompactVector {
+	var c wl.CompactVector
 	for _, i := range members {
 		v := vectors[i]
-		// Count vectors are integral, so this self-product is exact in
-		// any order; the division below is one rounding per component.
-		n := math.Sqrt(wl.Dot(v, v))
-		if n == 0 {
-			continue
-		}
-		for k, x := range v {
-			c[k] += x / n
+		// Count vectors are integral, so this self-product is exact; the
+		// division below is one rounding per component.
+		if n := math.Sqrt(v.SelfDot()); n > 0 {
+			c = addScaled(c, v, n)
 		}
 	}
-	if n := math.Sqrt(sortedSelfDot(c)); n > 0 {
-		for k := range c {
-			c[k] /= n
+	if n := math.Sqrt(c.SelfDot()); n > 0 {
+		for k := range c.Vals {
+			c.Vals[k] /= n
 		}
 	}
 	return c
 }
 
-// sortedKeys returns v's keys in increasing order.
-func sortedKeys(v wl.Vector) []int {
-	keys := make([]int, 0, len(v))
-	for k := range v {
-		keys = append(keys, k)
+// addScaled returns the sorted merge of c and v/n, adding v[k]/n to
+// c[k] where both hold key k.
+func addScaled(c, v wl.CompactVector, n float64) wl.CompactVector {
+	out := wl.CompactVector{
+		Keys: make([]int32, 0, len(c.Keys)+len(v.Keys)),
+		Vals: make([]float64, 0, len(c.Keys)+len(v.Keys)),
 	}
-	sort.Ints(keys)
-	return keys
-}
-
-// sortedSelfDot is ⟨v, v⟩ accumulated in sorted key order.
-func sortedSelfDot(v wl.Vector) float64 {
-	var s float64
-	for _, k := range sortedKeys(v) {
-		s += v[k] * v[k]
+	i, j := 0, 0
+	for i < len(c.Keys) || j < len(v.Keys) {
+		switch {
+		case j == len(v.Keys) || (i < len(c.Keys) && c.Keys[i] < v.Keys[j]):
+			out.Keys = append(out.Keys, c.Keys[i])
+			out.Vals = append(out.Vals, c.Vals[i])
+			i++
+		case i == len(c.Keys) || v.Keys[j] < c.Keys[i]:
+			out.Keys = append(out.Keys, v.Keys[j])
+			out.Vals = append(out.Vals, v.Vals[j]/n)
+			j++
+		default:
+			out.Keys = append(out.Keys, c.Keys[i])
+			out.Vals = append(out.Vals, c.Vals[i]+v.Vals[j]/n)
+			i++
+			j++
+		}
 	}
-	return s
+	return out
 }
 
 // centroidScore is the cosine similarity of an (integral) query vector
-// against a unit-norm centroid, accumulated in sorted key order for
-// bit-determinism. An empty query matches an empty centroid perfectly
-// and any other centroid not at all, mirroring wl.Similarity.
-func centroidScore(vec, c wl.Vector) float64 {
-	vv := wl.Dot(vec, vec) // integral: exact in any order
+// against a unit-norm centroid: one merge-join, accumulated in key
+// order for bit-determinism. An empty query matches an empty centroid
+// perfectly and any other centroid not at all, mirroring wl.Similarity.
+func centroidScore(vec, c wl.CompactVector) float64 {
+	vv := vec.SelfDot() // integral: exact in any order
 	if vv == 0 {
-		if len(c) == 0 {
+		if len(c.Keys) == 0 {
 			return 1
 		}
 		return 0
 	}
-	if len(c) == 0 {
+	if len(c.Keys) == 0 {
 		return 0
 	}
-	var num float64
-	for _, k := range sortedKeys(vec) {
-		num += vec[k] * c[k]
-	}
-	s := num / math.Sqrt(vv) // the centroid is unit-norm by construction
+	s := vec.Dot(c) / math.Sqrt(vv) // the centroid is unit-norm by construction
 	if s > 1 {
 		s = 1
 	}
@@ -233,7 +234,7 @@ func (m *Model) Save(path string) error {
 	}
 	var buf bytes.Buffer
 	buf.Write(modelHeader)
-	if err := gob.NewEncoder(&buf).Encode(m); err != nil {
+	if err := gob.NewEncoder(&buf).Encode(m.wire()); err != nil {
 		return fmt.Errorf("core: encode model: %w", err)
 	}
 	tmp, err := os.CreateTemp(filepath.Dir(path), ".model-*")
@@ -267,8 +268,12 @@ func LoadModel(path string) (*Model, error) {
 	if !bytes.HasPrefix(data, modelHeader) {
 		return nil, fmt.Errorf("core: %s is not a %s file", path, ModelSchema)
 	}
-	var m Model
-	if err := gob.NewDecoder(bytes.NewReader(data[len(modelHeader):])).Decode(&m); err != nil {
+	var w modelWire
+	if err := gob.NewDecoder(bytes.NewReader(data[len(modelHeader):])).Decode(&w); err != nil {
+		return nil, fmt.Errorf("core: decode model %s: %w", path, err)
+	}
+	m, err := w.model()
+	if err != nil {
 		return nil, fmt.Errorf("core: decode model %s: %w", path, err)
 	}
 	if m.Schema != ModelSchema {
@@ -283,5 +288,67 @@ func LoadModel(path string) (*Model, error) {
 		return nil, fmt.Errorf("core: model %s has %d WL iterations, limit %d",
 			path, m.WL.Iterations, maxModelIterations)
 	}
-	return &m, nil
+	return m, nil
+}
+
+// modelWire is the gob form of a Model. Centroids travel as the
+// label-id → weight maps the jobgraph-model/v1 format has always
+// carried, so model files written before centroids became compact
+// vectors still load.
+type modelWire struct {
+	Schema      string
+	WL          wl.Options
+	Conflate    bool
+	Dict        *wl.Dictionary
+	Groups      []groupWire
+	TrainedOn   int
+	Fingerprint string
+	BuiltAt     time.Time
+}
+
+type groupWire struct {
+	Name          string
+	Count         int
+	Centroid      map[int]float64
+	MeanInstances float64
+	MeanPlanCPU   float64
+	MeanDuration  float64
+}
+
+func (m *Model) wire() modelWire {
+	w := modelWire{Schema: m.Schema, WL: m.WL, Conflate: m.Conflate, Dict: m.Dict,
+		TrainedOn: m.TrainedOn, Fingerprint: m.Fingerprint, BuiltAt: m.BuiltAt}
+	for _, mg := range m.Groups {
+		c := make(map[int]float64, len(mg.Centroid.Keys))
+		for i, k := range mg.Centroid.Keys {
+			c[int(k)] = mg.Centroid.Vals[i]
+		}
+		w.Groups = append(w.Groups, groupWire{Name: mg.Name, Count: mg.Count, Centroid: c,
+			MeanInstances: mg.MeanInstances, MeanPlanCPU: mg.MeanPlanCPU, MeanDuration: mg.MeanDuration})
+	}
+	return w
+}
+
+// model rebuilds the Model, sorting each centroid into compact form.
+func (w modelWire) model() (*Model, error) {
+	m := &Model{Schema: w.Schema, WL: w.WL, Conflate: w.Conflate, Dict: w.Dict,
+		TrainedOn: w.TrainedOn, Fingerprint: w.Fingerprint, BuiltAt: w.BuiltAt}
+	for _, g := range w.Groups {
+		var c wl.CompactVector
+		for k, x := range g.Centroid {
+			if k < 0 || k > math.MaxInt32 {
+				return nil, fmt.Errorf("group %s: centroid key %d outside the int32 key space", g.Name, k)
+			}
+			if x != 0 {
+				c.Keys = append(c.Keys, int32(k))
+			}
+		}
+		slices.Sort(c.Keys)
+		for _, k := range c.Keys {
+			c.Vals = append(c.Vals, g.Centroid[int(k)])
+		}
+		m.Groups = append(m.Groups, ModelGroup{Name: g.Name, Count: g.Count, Centroid: c,
+			MeanInstances: g.MeanInstances, MeanPlanCPU: g.MeanPlanCPU, MeanDuration: g.MeanDuration})
+	}
+	return m, nil
 }

@@ -80,8 +80,8 @@ func FuzzLoadModel(f *testing.F) {
 		Schema string
 		WL     wl.Options
 		Dict   rawIDs
-		Groups []ModelGroup
-	}{ModelSchema, opt, rawIDs{"M": 0, "M(P:|S:J)": -7}, m.Groups}); err != nil {
+		Groups []groupWire
+	}{ModelSchema, opt, rawIDs{"M": 0, "M(P:|S:J)": -7}, m.wire().Groups}); err != nil {
 		f.Fatal(err)
 	}
 	f.Add(bad.Bytes())

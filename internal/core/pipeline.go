@@ -48,11 +48,8 @@ type (
 		Stats  []JobStat
 	}
 	featuresArtifact struct {
-		Vectors []wl.Vector
+		Vectors []wl.CompactVector
 		Dict    *wl.Dictionary
-		// Compact mirrors Vectors in sorted parallel-array form — the
-		// layout the kernel-matrix stage merge-joins over.
-		Compact []wl.CompactVector
 	}
 	matrixArtifact struct {
 		// Sim is packed (upper triangle): symmetric similarity matrices
@@ -74,7 +71,7 @@ type (
 		Silhouette float64
 	}
 	sketchArtifact struct {
-		Vectors []wl.Vector
+		Vectors []wl.CompactVector
 		Sigs    []wl.Sketch
 	}
 	annArtifact struct {
@@ -268,7 +265,7 @@ func (cfg Config) plan(jobs []trace.Job, lg *slog.Logger, times *jobTimes) *engi
 			if err != nil {
 				return nil, "", err
 			}
-			return featuresArtifact{Vectors: vectors, Dict: dict, Compact: wl.CompactAll(vectors)},
+			return featuresArtifact{Vectors: vectors, Dict: dict},
 				fmt.Sprintf("%d graphs embedded, %d distinct labels (h=%d)",
 					len(vectors), dict.Len(), cfg.WL.Iterations), nil
 		},
@@ -283,13 +280,7 @@ func (cfg Config) plan(jobs []trace.Job, lg *slog.Logger, times *jobTimes) *engi
 			if err != nil {
 				return nil, "", err
 			}
-			compact := fa.Compact
-			if len(compact) != len(fa.Vectors) {
-				// Defensive: an artifact written without the compact
-				// mirror (not expected under the v2 schema) still works.
-				compact = wl.CompactAll(fa.Vectors)
-			}
-			sim, err := wl.SymMatrixFromCompactOpts(compact, wl.MatrixOptions{
+			sim, err := wl.SymMatrixFromCompactOpts(fa.Vectors, wl.MatrixOptions{
 				Workers: cfg.Workers,
 				OnRow:   cfg.OnRow,
 			})

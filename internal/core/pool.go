@@ -9,7 +9,7 @@ import (
 
 // runPool executes work(i) for i in [0,n) across a bounded worker pool
 // with deterministic error selection and cooperative cancellation —
-// the per-job counterpart of wl.MatrixFromVectorsOpts's row pool.
+// the per-job counterpart of wl.SymMatrixFromCompactOpts's row pool.
 //
 // Results must be written by work into caller-owned, index-addressed
 // storage, so collection is order-stable by construction. When several

@@ -14,7 +14,7 @@ import (
 // a fraction of the size of the JSON delegation the map-era codec used
 // and decodable without a JSON parse. Decoded graphs are validated, so
 // a corrupt artifact surfaces as a cache miss, not a bad graph. This
-// format change is why the engine cache key schema is
+// format change bumped the engine cache key schema to
 // "jobgraph-engine/v2": v1 artifacts must miss rather than decode
 // wrongly.
 

@@ -38,7 +38,9 @@ import (
 // wrong-shaped artifacts.
 // v2: dag.Graph moved to a flat CSR core with a compact binary gob wire
 // form (JGD2), so every cached artifact embedding a graph changed shape.
-const keySchema = "jobgraph-engine/v2"
+// v3: the wl.features and wl.sketch artifacts carry wl.CompactVector
+// feature vectors instead of label-count maps.
+const keySchema = "jobgraph-engine/v3"
 
 // Cache traffic counters — the warm/cold visibility in metrics.json.
 var (

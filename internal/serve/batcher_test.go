@@ -17,9 +17,11 @@ type echoFlush struct {
 	batches [][]*op
 	delay   time.Duration
 	block   chan struct{} // when non-nil, flush waits for a receive
+	entered atomic.Int32  // flush calls started
 }
 
 func (e *echoFlush) flush(batch []*op) {
+	e.entered.Add(1)
 	if e.block != nil {
 		<-e.block
 	}
@@ -101,8 +103,10 @@ func TestBatcherQueueFull(t *testing.T) {
 		_, err := b.Submit(context.Background(), "wedge")
 		results <- err
 	}()
-	// The loop has picked the op up (queue empty again) and is wedged.
-	waitFor(t, "flush to wedge", func() bool { return len(b.queue) == 0 && e.batchCount() == 0 })
+	// The loop has picked the op up and is wedged in flush. (An empty
+	// queue alone does not show that: the wedge op may not have been
+	// submitted yet, and would then race the two below for the queue.)
+	waitFor(t, "flush to wedge", func() bool { return e.entered.Load() == 1 })
 
 	for i := 0; i < 2; i++ {
 		go func() {

@@ -259,12 +259,19 @@ func readTableParallel[T any](r io.Reader, spec tableSpec[T], opt ReadOptions, w
 	stop := make(chan struct{})
 	var stopOnce sync.Once
 	halt := func() { stopOnce.Do(func() { close(stop) }) }
-	defer halt()
 
+	// The splitter reads r, which belongs to the caller once this
+	// function returns, so every return path joins it after halt.
+	splitDone := make(chan struct{})
 	go func() {
+		defer close(splitDone)
 		end := splitShards(r, shardTargetBytes, shards, stop)
 		close(shards)
 		endc <- end
+	}()
+	defer func() {
+		halt()
+		<-splitDone
 	}()
 
 	var wg sync.WaitGroup

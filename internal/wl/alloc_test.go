@@ -8,10 +8,11 @@ import (
 )
 
 // TestEmbedIntoZeroAlloc pins the core refinement guarantee: once an
-// embedder has seen a graph's label universe, re-embedding performs no
-// heap allocations at all — every round runs over reused code arrays,
-// the shared composition buffer, reused BFS scratch, and no-alloc map
-// lookups — for every base kernel and every label space.
+// embedder has seen a graph's label universe, re-embedding into a
+// reused vector performs no heap allocations at all — every round runs
+// over reused code arrays, the shared composition buffer, reused BFS
+// scratch, the occurrence list and no-alloc map lookups — for every
+// base kernel and every label space.
 func TestEmbedIntoZeroAlloc(t *testing.T) {
 	g := randomDAG(rand.New(rand.NewSource(3)), "alloc", 40)
 	bases := []BaseKernel{BaseSubtree, BaseEdge, BaseShortestPath}
@@ -19,11 +20,10 @@ func TestEmbedIntoZeroAlloc(t *testing.T) {
 	// warmAllocs embeds g once to warm e, then reports the allocations
 	// of a re-embed.
 	warmAllocs := func(e *embedder, opt Options) float64 {
-		vec := make(Vector)
-		e.embedInto(vec, g, opt)
+		var vec CompactVector
+		e.embedInto(&vec, g, opt)
 		return testing.AllocsPerRun(100, func() {
-			clear(vec)
-			e.embedInto(vec, g, opt)
+			e.embedInto(&vec, g, opt)
 		})
 	}
 	frozenFrom := func(t *testing.T, src *dag.Graph, opt Options) *Frozen {
@@ -72,8 +72,8 @@ func TestEmbedIntoZeroAlloc(t *testing.T) {
 
 // TestHashedEmbedWarmAllocs pins the hashed-feature fast path: the
 // embedder's scratch is reused across graphs, so a warm re-embed
-// allocates only the result vector itself, nothing per node or per
-// round.
+// allocates only the result vector's two arrays, nothing per node or
+// per round.
 func TestHashedEmbedWarmAllocs(t *testing.T) {
 	g := randomDAG(rand.New(rand.NewSource(5)), "hashed-alloc", 40)
 	opt := DefaultOptions()
@@ -81,14 +81,11 @@ func TestHashedEmbedWarmAllocs(t *testing.T) {
 	e.embed(g, opt) // warm the token caches
 	allocs := testing.AllocsPerRun(100, func() {
 		vec := e.embed(g, opt)
-		if len(vec) == 0 {
+		if len(vec.Keys) == 0 {
 			t.Fatal("empty hashed vector")
 		}
 	})
-	// The only remaining allocations are the returned Vector map and its
-	// buckets; with 64 hash buckets that is a handful of objects, far
-	// below one per node (40) let alone per node-round (160).
-	if allocs > 10 {
-		t.Fatalf("warm hashed embed allocates %.1f objects/run, want <= 10 (vector only)", allocs)
+	if allocs > 2 {
+		t.Fatalf("warm hashed embed allocates %.1f objects/run, want <= 2 (Keys and Vals only)", allocs)
 	}
 }

@@ -1,18 +1,17 @@
 // ANNIndex: sublinear top-k similarity over millions of job DAGs.
 //
-// The exact Index (index.go) answers a query by scoring every indexed
-// vector — O(n) per query, O(n²) for a kernel matrix — which is why the
-// paper samples 100 jobs. ANNIndex breaks that ceiling with the
-// standard sketch-and-hash construction: each job is embedded as a
-// hashed WL feature vector (HashedFeatures, no shared dictionary), sketched
-// into a MinHash signature (sketch.go), and inserted into banded LSH
-// tables. A query probes one LSH bucket per band, unions the posting
-// lists into a candidate set whose size tracks the corpus's local
-// density rather than n, and re-ranks the candidates by exact cosine
-// over the stored sparse vectors. Recall against the exact kernel is
-// tunable through SketchOptions (more bands, shorter rows → more
-// candidates → higher recall) and measured by the accuracy-vs-speed
-// gate in CI.
+// Scoring every indexed vector costs O(n) per query, O(n²) for a kernel
+// matrix — which is why the paper samples 100 jobs. ANNIndex breaks
+// that ceiling with the standard sketch-and-hash construction: each job
+// is embedded as a hashed WL feature vector (HashedFeatures, no shared
+// dictionary), sketched into a MinHash signature (sketch.go), and
+// inserted into banded LSH tables. A query probes one LSH bucket per
+// band, unions the posting lists into a candidate set whose size tracks
+// the corpus's local density rather than n, and re-ranks the candidates
+// by exact cosine over the stored sparse vectors. Recall against the
+// exact kernel is tunable through SketchOptions (more bands, shorter
+// rows → more candidates → higher recall) and measured by the
+// accuracy-vs-speed gate in CI.
 //
 // The index is immutable-after-Build in spirit: Add appends, the first
 // Query (or an explicit Build) freezes the LSH tables into sorted
@@ -52,6 +51,12 @@ var (
 // mis-ranking.
 const ANNIndexSchema = "jobgraph-annindex/v1"
 
+// Hit is one nearest-neighbour result.
+type Hit struct {
+	JobID      string
+	Similarity float64
+}
+
 // ANNIndex is the persistent approximate-nearest-neighbour structure:
 // MinHash signatures in banded LSH tables plus the hashed sparse
 // vectors for the exact-cosine re-rank.
@@ -63,8 +68,8 @@ type ANNIndex struct {
 	jobIDs []string
 	byID   map[string]int32
 
-	// Sparse vectors in compact sorted-pair form: keys[i] ascending,
-	// vals[i] the counts. float32 loses nothing on WL label counts
+	// Job i's vector is (keys[i], vals[i]), the CompactVector layout
+	// with float32 counts: float32 loses nothing on WL label counts
 	// (integral, far below 2^24) and halves the re-rank working set.
 	keys    [][]int32
 	vals    [][]float32
@@ -104,7 +109,7 @@ func NewANNIndex(wlOpts Options, opt SketchOptions) (*ANNIndex, error) {
 // the engine's wl.annindex stage path, where vectors and signatures are
 // separately cached artifacts. Signatures must have been produced by
 // Sketches under the same opt.
-func NewANNIndexFromSketches(wlOpts Options, opt SketchOptions, jobIDs []string, vectors []Vector, sigs []Sketch) (*ANNIndex, error) {
+func NewANNIndexFromSketches(wlOpts Options, opt SketchOptions, jobIDs []string, vectors []CompactVector, sigs []Sketch) (*ANNIndex, error) {
 	ix, err := NewANNIndex(wlOpts, opt)
 	if err != nil {
 		return nil, err
@@ -138,9 +143,10 @@ func (ix *ANNIndex) Len() int { return len(ix.jobIDs) }
 // do not mutate).
 func (ix *ANNIndex) JobIDs() []string { return ix.jobIDs }
 
-// Add hashes, sketches and inserts one job's feature vector. Duplicate
+// Add sketches and inserts one job's hashed feature vector. The index
+// shares v.Keys, so the caller must not modify it afterwards. Duplicate
 // job ids are rejected: an index is a registry, not a multiset.
-func (ix *ANNIndex) Add(jobID string, v Vector) error {
+func (ix *ANNIndex) Add(jobID string, v CompactVector) error {
 	return ix.add(jobID, v, sketchWithSeeds(v, ix.seeds))
 }
 
@@ -150,39 +156,22 @@ func (ix *ANNIndex) AddGraph(g *dag.Graph) error {
 	return ix.Add(g.JobID, hashedEmbed(g, ix.wlOpts, ix.opt.Buckets))
 }
 
-func (ix *ANNIndex) add(jobID string, v Vector, sig Sketch) error {
+func (ix *ANNIndex) add(jobID string, v CompactVector, sig Sketch) error {
 	if _, dup := ix.byID[jobID]; dup {
 		return fmt.Errorf("wl: job %s already indexed", jobID)
 	}
-	ks, vs, self := compactVector(v)
+	vs := make([]float32, len(v.Vals))
+	for i, c := range v.Vals {
+		vs[i] = float32(c)
+	}
 	ix.byID[jobID] = int32(len(ix.jobIDs))
 	ix.jobIDs = append(ix.jobIDs, jobID)
-	ix.keys = append(ix.keys, ks)
+	ix.keys = append(ix.keys, v.Keys)
 	ix.vals = append(ix.vals, vs)
-	ix.selfDot = append(ix.selfDot, self)
+	ix.selfDot = append(ix.selfDot, v.SelfDot())
 	ix.sigs = append(ix.sigs, sig)
 	ix.built = false
 	return nil
-}
-
-// compactVector converts a sparse map vector into sorted (key, value)
-// arrays and its self dot product.
-func compactVector(v Vector) ([]int32, []float32, float64) {
-	ks := make([]int32, 0, len(v))
-	for k, c := range v {
-		if c != 0 {
-			ks = append(ks, int32(k))
-		}
-	}
-	sort.Slice(ks, func(a, b int) bool { return ks[a] < ks[b] })
-	vs := make([]float32, len(ks))
-	var self float64
-	for i, k := range ks {
-		c := v[int(k)]
-		vs[i] = float32(c)
-		self += c * c
-	}
-	return ks, vs, self
 }
 
 // Build freezes the LSH tables: one sorted (bandKey, id) array pair per
@@ -262,7 +251,7 @@ func (ix *ANNIndex) candidates(sig Sketch, exclude int32) []int32 {
 // vector, before any re-ranking — the recall ceiling of a query. The
 // exact-subset property test pins that at high band settings this set
 // contains every sufficiently similar exact neighbour.
-func (ix *ANNIndex) Candidates(v Vector) []string {
+func (ix *ANNIndex) Candidates(v CompactVector) []string {
 	ix.Build()
 	cands := ix.candidates(sketchWithSeeds(v, ix.seeds), -1)
 	out := make([]string, len(cands))
@@ -290,34 +279,18 @@ func (ix *ANNIndex) CandidateNeighbors(maxPerJob int) [][]int32 {
 	return out
 }
 
-// SparseVectors reconstructs the indexed hashed feature vectors — the
-// clustering substrate. Intended for corpus-scale batch consumers; the
-// maps are freshly allocated on every call.
-func (ix *ANNIndex) SparseVectors() []map[int]float64 {
-	out := make([]map[int]float64, len(ix.jobIDs))
-	for i := range out {
-		m := make(map[int]float64, len(ix.keys[i]))
-		for j, k := range ix.keys[i] {
-			m[int(k)] = float64(ix.vals[i][j])
-		}
-		out[i] = m
-	}
-	return out
-}
-
-// dotCompact is ⟨query, indexed[i]⟩ with the query in compact form — a
-// merge join over two sorted key arrays.
-func (ix *ANNIndex) dotCompact(qk []int32, qv []float32, i int) float64 {
+// dot is ⟨q, indexed job i⟩ — a merge join over two sorted key arrays.
+func (ix *ANNIndex) dot(q CompactVector, i int) float64 {
 	ik, iv := ix.keys[i], ix.vals[i]
 	var s float64
 	a, b := 0, 0
-	for a < len(qk) && b < len(ik) {
+	for a < len(q.Keys) && b < len(ik) {
 		switch {
-		case qk[a] == ik[b]:
-			s += float64(qv[a]) * float64(iv[b])
+		case q.Keys[a] == ik[b]:
+			s += q.Vals[a] * float64(iv[b])
 			a++
 			b++
-		case qk[a] < ik[b]:
+		case q.Keys[a] < ik[b]:
 			a++
 		default:
 			b++
@@ -331,14 +304,13 @@ func (ix *ANNIndex) dotCompact(qk []int32, qv []float32, i int) float64 {
 // (ties by job id). Fewer than k results means the candidate set was
 // smaller than k — the approximate regime's honest answer, not an
 // error. k must be positive.
-func (ix *ANNIndex) Query(v Vector, k int) ([]Hit, error) {
+func (ix *ANNIndex) Query(v CompactVector, k int) ([]Hit, error) {
 	if k <= 0 {
 		return nil, fmt.Errorf("wl: query k=%d", k)
 	}
 	ix.Build()
-	qk, qv, qSelf := compactVector(v)
 	sig := sketchWithSeeds(v, ix.seeds)
-	return ix.rerank(qk, qv, qSelf, ix.candidates(sig, -1), k), nil
+	return ix.rerank(v, v.SelfDot(), ix.candidates(sig, -1), k), nil
 }
 
 // QueryGraph embeds g with the index's hashed WL options and queries.
@@ -357,35 +329,22 @@ func (ix *ANNIndex) QueryJob(jobID string, k int) ([]Hit, error) {
 		return nil, fmt.Errorf("wl: job %s not indexed", jobID)
 	}
 	ix.Build()
-	cands := ix.candidates(ix.sigs[i], i)
-	return ix.rerank(ix.keys[i], ix.vals[i], ix.selfDot[i], cands, k), nil
+	q := CompactVector{Keys: ix.keys[i], Vals: make([]float64, len(ix.vals[i]))}
+	for j, c := range ix.vals[i] {
+		q.Vals[j] = float64(c)
+	}
+	return ix.rerank(q, ix.selfDot[i], ix.candidates(ix.sigs[i], i), k), nil
 }
 
 // rerank scores candidates by exact cosine over the stored vectors and
 // returns the top k. Candidate-set size and re-rank wall time feed the
 // windowed ANN instruments.
-func (ix *ANNIndex) rerank(qk []int32, qv []float32, qSelf float64, cands []int32, k int) []Hit {
+func (ix *ANNIndex) rerank(q CompactVector, qSelf float64, cands []int32, k int) []Hit {
 	start := time.Now()
 	hits := make([]Hit, 0, len(cands))
 	for _, id := range cands {
 		i := int(id)
-		var sim float64
-		switch {
-		case qSelf == 0 && ix.selfDot[i] == 0:
-			sim = 1 // two empty vectors: same convention as Similarity
-		case qSelf == 0 || ix.selfDot[i] == 0:
-			sim = 0
-		default:
-			dot := ix.dotCompact(qk, qv, i)
-			if dot*dot >= qSelf*ix.selfDot[i] {
-				sim = 1
-			} else {
-				sim = dot / (math.Sqrt(qSelf) * math.Sqrt(ix.selfDot[i]))
-				if sim < 0 {
-					sim = 0
-				}
-			}
-		}
+		sim := normalizeKernel(ix.dot(q, i), qSelf, ix.selfDot[i])
 		hits = append(hits, Hit{JobID: ix.jobIDs[i], Similarity: sim})
 	}
 	sort.Slice(hits, func(a, b int) bool {

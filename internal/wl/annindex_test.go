@@ -82,7 +82,7 @@ func TestANNCandidatesCoverExactTopK(t *testing.T) {
 	const n, k = 60, 5
 	opt := SketchOptions{Hashes: 64, Bands: 64, Buckets: 1 << 16, Seed: 9}
 	ix, graphs := annCorpus(t, n, opt)
-	vectors := make([]Vector, n)
+	vectors := make([]CompactVector, n)
 	for i, g := range graphs {
 		vectors[i] = hashedEmbed(g, ix.WLOptions(), opt.Buckets)
 	}
@@ -243,20 +243,21 @@ func assertSameIndex(t *testing.T, want, got *ANNIndex, graphs []*dag.Graph) {
 
 func TestANNBulkLoadValidation(t *testing.T) {
 	opt := SketchOptions{Hashes: 16, Bands: 4, Buckets: 1 << 12, Seed: 2}
-	sig, err := SketchVector(Vector{1: 1}, opt)
+	one, two := fromMap(map[int]float64{1: 1}), fromMap(map[int]float64{2: 1})
+	sig, err := SketchVector(one, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if _, err := NewANNIndexFromSketches(DefaultOptions(), opt,
-		[]string{"a", "b"}, []Vector{{1: 1}}, []Sketch{sig, sig}); err == nil {
+		[]string{"a", "b"}, []CompactVector{one}, []Sketch{sig, sig}); err == nil {
 		t.Fatal("mismatched lengths accepted")
 	}
 	if _, err := NewANNIndexFromSketches(DefaultOptions(), opt,
-		[]string{"a"}, []Vector{{1: 1}}, []Sketch{make(Sketch, 8)}); err == nil {
+		[]string{"a"}, []CompactVector{one}, []Sketch{make(Sketch, 8)}); err == nil {
 		t.Fatal("wrong sketch width accepted")
 	}
 	ix, err := NewANNIndexFromSketches(DefaultOptions(), opt,
-		[]string{"a", "b"}, []Vector{{1: 1}, {2: 1}}, []Sketch{sig, sig})
+		[]string{"a", "b"}, []CompactVector{one, two}, []Sketch{sig, sig})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -288,7 +289,7 @@ func TestANNEmptyIndexQuery(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	hits, err := ix.Query(Vector{1: 1}, 5)
+	hits, err := ix.Query(fromMap(map[int]float64{1: 1}), 5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -325,6 +326,7 @@ func TestANNWireValidation(t *testing.T) {
 		"NaN count":       func(w *annWire) { w.Vals[0][0] = float32(math.NaN()) },
 		"+Inf count":      func(w *annWire) { w.Vals[0][0] = float32(math.Inf(1)) },
 		"-Inf count":      func(w *annWire) { w.Vals[0][0] = float32(math.Inf(-1)) },
+		"int32 overflow":  func(w *annWire) { w.Sketch.Buckets = math.MaxInt32 + 1 },
 	} {
 		w := fresh()
 		corrupt(&w)
@@ -343,5 +345,124 @@ func TestANNWireValidation(t *testing.T) {
 	}
 	if _, err := LoadANNIndex(&buf); err == nil {
 		t.Fatal("LoadANNIndex accepted a NaN count")
+	}
+}
+
+// fullCoverage is a 1-row-band geometry: any agreeing MinHash position
+// makes a candidate, so small corpora behave like an exact index.
+var fullCoverage = SketchOptions{Hashes: 64, Bands: 64, Buckets: 1 << 16, Seed: 3}
+
+func TestIndexAddAndQuery(t *testing.T) {
+	ix, err := NewANNIndex(DefaultOptions(), fullCoverage)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, n := range []int{2, 3, 4} {
+		g := chainGraph(t, "chain", n)
+		g.JobID = fmt.Sprintf("chain%d", n)
+		if err := ix.AddGraph(g); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if ix.Len() != 3 {
+		t.Fatalf("len = %d", ix.Len())
+	}
+	hits, err := ix.QueryGraph(chainGraph(t, "q", 3), 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(hits) != 2 {
+		t.Fatalf("hits = %d", len(hits))
+	}
+	if hits[0].JobID != "chain3" || hits[0].Similarity != 1 {
+		t.Fatalf("top hit = %+v", hits[0])
+	}
+	if hits[1].Similarity >= 1 {
+		t.Fatalf("second hit = %+v", hits[1])
+	}
+}
+
+func TestIndexQueryValidation(t *testing.T) {
+	ix, _ := annCorpus(t, 5, fullCoverage)
+	q := chainGraph(t, "q", 2)
+	if _, err := ix.QueryGraph(q, 0); err == nil {
+		t.Fatal("k=0 accepted")
+	}
+	hits, err := ix.QueryGraph(q, 100)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// An over-request returns the whole candidate set, re-ranked.
+	if want := len(ix.Candidates(hashedEmbed(q, ix.WLOptions(), fullCoverage.Buckets))); len(hits) != want {
+		t.Fatalf("over-request returned %d, candidate set has %d", len(hits), want)
+	}
+}
+
+// TestIndexSaveLoadRoundTrip: a reloaded index answers like the original
+// and still accepts and finds new jobs.
+func TestIndexSaveLoadRoundTrip(t *testing.T) {
+	ix, graphs := annCorpus(t, 12, fullCoverage)
+	var buf bytes.Buffer
+	if err := ix.SaveJSON(&buf); err != nil {
+		t.Fatal(err)
+	}
+	loaded, err := LoadANNIndexJSON(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	assertSameIndex(t, ix, loaded, graphs)
+	g := chainGraph(t, "new-one", 6)
+	if err := loaded.AddGraph(g); err != nil {
+		t.Fatal(err)
+	}
+	hits, err := loaded.QueryGraph(chainGraph(t, "q", 6), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(hits) != 1 || hits[0].JobID != "new-one" || hits[0].Similarity != 1 {
+		t.Fatalf("new job not found after reload: %+v", hits)
+	}
+}
+
+func TestLoadIndexRejectsCorrupt(t *testing.T) {
+	const sketch = `"sketch":{"Buckets":64,"Hashes":4,"Bands":2,"Seed":1}`
+	cases := map[string]string{
+		"not json":         "{{{",
+		"job/vec miscount": `{"schema":"jobgraph-annindex/v1","wl":{"Iterations":1},` + sketch + `,"jobs":["a"],"keys":[],"vals":[],"sigs":[]}`,
+		"bad option":       `{"schema":"jobgraph-annindex/v1","wl":{"Iterations":-1},` + sketch + `,"jobs":[],"keys":[],"vals":[],"sigs":[]}`,
+		"negative count":   `{"schema":"jobgraph-annindex/v1","wl":{"Iterations":1},` + sketch + `,"jobs":["a"],"keys":[[0]],"vals":[[-1]],"sigs":[[1,2,3,4]]}`,
+		"wide buckets":     `{"schema":"jobgraph-annindex/v1","wl":{"Iterations":1},"sketch":{"Buckets":5000000000,"Hashes":4,"Bands":2,"Seed":1},"jobs":[],"keys":[],"vals":[],"sigs":[]}`,
+	}
+	for name, data := range cases {
+		if _, err := LoadANNIndexJSON(strings.NewReader(data)); err == nil {
+			t.Errorf("%s: accepted", name)
+		}
+	}
+	valid := `{"schema":"jobgraph-annindex/v1","wl":{"Iterations":1},` + sketch + `,"jobs":["a"],"keys":[[0]],"vals":[[1]],"sigs":[[1,2,3,4]]}`
+	if _, err := LoadANNIndexJSON(strings.NewReader(valid)); err != nil {
+		t.Fatalf("valid index rejected: %v", err)
+	}
+}
+
+func TestNewIndexRejectsBadOptions(t *testing.T) {
+	if _, err := NewANNIndex(Options{Iterations: -2}, SketchOptions{}); err == nil {
+		t.Fatal("bad WL options accepted")
+	}
+	if _, err := NewANNIndex(DefaultOptions(), SketchOptions{Buckets: 5000000000}); err == nil {
+		t.Fatal("bucket count beyond the int32 key space accepted")
+	}
+}
+
+func TestIndexEmptyQuery(t *testing.T) {
+	ix, err := NewANNIndex(DefaultOptions(), SketchOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	hits, err := ix.QueryGraph(chainGraph(t, "q", 2), 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(hits) != 0 {
+		t.Fatalf("empty index returned hits: %+v", hits)
 	}
 }

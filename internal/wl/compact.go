@@ -1,45 +1,19 @@
 package wl
 
-import "slices"
-
-// CompactVector is a feature vector in sorted parallel-array form:
-// Keys ascending, Vals[i] the count for Keys[i], zero entries dropped.
-// Pairwise kernels over compact vectors are linear merge-joins instead
-// of map iterations with per-key hashing — the layout the kernel-matrix
-// stage runs on. Values are label counts (exact small integers), so a
-// merge-order sum is bit-identical to the map-order sum: every product
-// and partial sum is an exactly-representable integer.
+// CompactVector is the package's one feature vector φ(G), a sparse
+// label-count vector in sorted parallel-array form: Keys ascending
+// (dictionary ids or hash buckets), Vals[i] the count for Keys[i], zero
+// entries dropped. Pairwise kernels are linear merge-joins over the
+// sorted key lists. Values are label counts (exact small integers), so
+// every product and partial sum is an exactly-representable integer and
+// kernel values do not depend on summation order.
 type CompactVector struct {
 	Keys []int32
 	Vals []float64
 }
 
-// CompactFromVector converts a sparse map vector to compact form.
-func CompactFromVector(v Vector) CompactVector {
-	ks := make([]int32, 0, len(v))
-	for k, c := range v {
-		if c != 0 {
-			ks = append(ks, int32(k))
-		}
-	}
-	slices.Sort(ks)
-	vs := make([]float64, len(ks))
-	for i, k := range ks {
-		vs[i] = v[int(k)]
-	}
-	return CompactVector{Keys: ks, Vals: vs}
-}
-
-// CompactAll converts a vector slice; index i corresponds to vecs[i].
-func CompactAll(vecs []Vector) []CompactVector {
-	out := make([]CompactVector, len(vecs))
-	for i, v := range vecs {
-		out[i] = CompactFromVector(v)
-	}
-	return out
-}
-
-// Dot returns ⟨c, o⟩ by merging the two sorted key lists.
+// Dot returns ⟨c, o⟩ — the un-normalized WL kernel value — by merging
+// the two sorted key lists.
 func (c CompactVector) Dot(o CompactVector) float64 {
 	var s float64
 	i, j := 0, 0

@@ -1,7 +1,6 @@
 package wl
 
 import (
-	"maps"
 	"sync"
 	"testing"
 )
@@ -20,7 +19,7 @@ func TestSharedEmbedderConcurrent(t *testing.T) {
 		t.Fatal(err)
 	}
 	fz := d.Freeze()
-	want := make([]Vector, len(graphs))
+	want := make([]CompactVector, len(graphs))
 	for i, g := range graphs {
 		if want[i], err = fz.Embed(g, opt); err != nil {
 			t.Fatal(err)
@@ -40,7 +39,7 @@ func TestSharedEmbedderConcurrent(t *testing.T) {
 			for j := range graphs {
 				i := (j + 5*w) % len(graphs) // workers start at different graphs
 				v, err := fz.Embed(graphs[i], opt)
-				if err != nil || !maps.Equal(v, want[i]) {
+				if err != nil || !vecEqual(v, want[i]) {
 					errs <- "frozen embed differs from sequential"
 				}
 			}
@@ -55,7 +54,7 @@ func TestSharedEmbedderConcurrent(t *testing.T) {
 			return
 		}
 		for i := range got {
-			if !maps.Equal(got[i], wantHashed[i]) {
+			if !vecEqual(got[i], wantHashed[i]) {
 				errs <- "hashed features at workers=4 differ from workers=1"
 			}
 		}

@@ -14,6 +14,10 @@ import (
 // embedder, so a warm embedder refines an already-seen graph shape
 // without allocating at all (asserted by TestEmbedIntoZeroAlloc).
 //
+// Recording appends each occurrence's vector key to a scratch list;
+// sorting and run-length encoding that list yields the CompactVector
+// directly, with no map on the path.
+//
 // One embedder serves three label compressors, chosen by which of its
 // fields is set:
 //
@@ -51,8 +55,8 @@ var initForms = [numInitLabels]string{"M", "R", "J", "?", "·"}
 
 // Sentinels for lazily resolved record keys.
 const (
-	keyAbsent     = -1 // label not in the (frozen) label space
-	keyUnresolved = -2
+	keyAbsent     int32 = -1 // label not in the (frozen) label space
+	keyUnresolved int32 = -2
 )
 
 // token is one distinct label: its form, as it appears inside a
@@ -60,7 +64,7 @@ const (
 // (resolved on first record).
 type token struct {
 	form string
-	key  int
+	key  int32
 }
 
 // embedder owns the refinement state of one label compressor. Exactly
@@ -77,6 +81,7 @@ type embedder struct {
 	buf   []byte   // composition scratch for one label or record key
 	dist  []int32  // shortest-path BFS distances, -1 when unreached
 	queue []int32  // shortest-path BFS visit order
+	occ   []int32  // vector key of every occurrence recorded this embedding
 
 	toks     []token
 	extra    []token
@@ -92,17 +97,20 @@ func newEmbedder(d *Dictionary, f *Frozen, buckets int) *embedder {
 }
 
 // embed returns g's feature vector. opt must already be validated.
-func (e *embedder) embed(g *dag.Graph, opt Options) Vector {
-	vec := make(Vector)
-	e.embedInto(vec, g, opt)
+func (e *embedder) embed(g *dag.Graph, opt Options) CompactVector {
+	var vec CompactVector
+	e.embedInto(&vec, g, opt)
 	return vec
 }
 
-// embedInto accumulates g's feature counts into vec. A warm embedder
-// (all labels seen before) performs no allocations beyond growth of vec.
-func (e *embedder) embedInto(vec Vector, g *dag.Graph, opt Options) {
+// embedInto overwrites vec with g's feature vector, reusing vec's
+// storage when it has room. A warm embedder (all labels seen before)
+// performs no allocations beyond growth of vec.
+func (e *embedder) embedInto(vec *CompactVector, g *dag.Graph, opt Options) {
+	e.occ = e.occ[:0]
 	n := g.NumNodes()
 	if n == 0 {
+		e.compact(vec)
 		return
 	}
 	e.codes = resizeRefs(e.codes, n)
@@ -111,7 +119,7 @@ func (e *embedder) embedInto(vec Vector, g *dag.Graph, opt Options) {
 	for p := 0; p < n; p++ {
 		e.codes[p] = initRef(g.NodeAt(p).Type, opt.UseTypeLabels)
 	}
-	e.record(vec, g, opt.Base)
+	e.record(g, opt.Base)
 
 	for it := 0; it < opt.Iterations; it++ {
 		for p := 0; p < n; p++ {
@@ -119,18 +127,49 @@ func (e *embedder) embedInto(vec Vector, g *dag.Graph, opt Options) {
 			e.next[p] = e.compress(it)
 		}
 		e.codes, e.next = e.next, e.codes
-		e.record(vec, g, opt.Base)
+		e.record(g, opt.Base)
 	}
+	e.compact(vec)
 
 	if e.buckets > 0 {
 		return // the hashed scale path is not tallied
 	}
 	obsEmbeds.Add(1)
 	obsRefineRounds.Add(int64(opt.Iterations))
-	obsVectorSize.Observe(float64(len(vec)))
+	obsVectorSize.Observe(float64(len(vec.Keys)))
 	if e.dict != nil {
 		obsDictLabels.Set(int64(e.dict.Len()))
 	}
+}
+
+// compact sorts the recorded occurrence keys and run-length encodes
+// them into vec: one entry per distinct key, its count the run length.
+func (e *embedder) compact(vec *CompactVector) {
+	occ := e.occ
+	slices.Sort(occ)
+	distinct := 0
+	for i := range occ {
+		if i == 0 || occ[i] != occ[i-1] {
+			distinct++
+		}
+	}
+	keys, vals := vec.Keys[:0], vec.Vals[:0]
+	if cap(keys) < distinct {
+		keys = make([]int32, 0, distinct)
+	}
+	if cap(vals) < distinct {
+		vals = make([]float64, 0, distinct)
+	}
+	for i := 0; i < len(occ); {
+		j := i + 1
+		for j < len(occ) && occ[j] == occ[i] {
+			j++
+		}
+		keys = append(keys, occ[i])
+		vals = append(vals, float64(j-i))
+		i = j
+	}
+	vec.Keys, vec.Vals = keys, vals
 }
 
 func initRef(t taskname.Type, useTypes bool) int32 {
@@ -263,44 +302,45 @@ func (e *embedder) extraTok(k [2]uint64) int32 {
 
 // key resolves the label or record key in e.buf to its vector key: a
 // dictionary interns it, a frozen view looks it up, feature hashing
-// buckets it.
-func (e *embedder) key() int {
+// buckets it. Bucket counts are capped at math.MaxInt32 on entry, so
+// every key fits.
+func (e *embedder) key() int32 {
 	switch {
 	case e.dict != nil:
-		return e.dict.intern(e.buf)
+		return int32(e.dict.intern(e.buf))
 	case e.froz != nil:
 		if v, ok := e.froz.ids[string(e.buf)]; ok {
-			return v
+			return int32(v)
 		}
 		return keyAbsent
 	default:
-		return int(fnvSum(e.buf) % e.buckets)
+		return int32(fnvSum(e.buf) % e.buckets)
 	}
 }
 
-// count adds one occurrence of the key in e.buf to vec.
-func (e *embedder) count(vec Vector) {
+// count records one occurrence of the key in e.buf.
+func (e *embedder) count() {
 	if k := e.key(); k >= 0 {
-		vec[k]++
+		e.occ = append(e.occ, k)
 	}
 }
 
-// record adds the current round's base-kernel counts to vec, walking
-// nodes (and their successors or BFS reach) in ascending position so
-// dictionary interning stays deterministic.
-func (e *embedder) record(vec Vector, g *dag.Graph, base BaseKernel) {
+// record appends the current round's base-kernel occurrences to e.occ,
+// walking nodes (and their successors or BFS reach) in ascending
+// position so dictionary interning stays deterministic.
+func (e *embedder) record(g *dag.Graph, base BaseKernel) {
 	n := len(e.codes)
 	switch base {
 	case BaseEdge:
 		for p := 0; p < n; p++ {
 			fu := e.form(int32(p))
 			e.buf = append(append(e.buf[:0], "N|"...), fu...)
-			e.count(vec)
+			e.count()
 			for _, q := range g.SuccPos(p) {
 				buf := append(append(e.buf[:0], "E|"...), fu...)
 				buf = append(buf, '|')
 				e.buf = append(buf, e.form(q)...)
-				e.count(vec)
+				e.count()
 			}
 		}
 	case BaseShortestPath:
@@ -317,7 +357,7 @@ func (e *embedder) record(vec Vector, g *dag.Graph, base BaseKernel) {
 				buf = append(buf, e.form(q)...)
 				buf = append(buf, '|')
 				e.buf = strconv.AppendInt(buf, int64(e.dist[q]), 10)
-				e.count(vec)
+				e.count()
 			}
 			for _, q := range e.queue {
 				e.dist[q] = -1
@@ -331,7 +371,7 @@ func (e *embedder) record(vec Vector, g *dag.Graph, base BaseKernel) {
 				t.key = e.key()
 			}
 			if t.key >= 0 {
-				vec[t.key]++
+				e.occ = append(e.occ, t.key)
 			}
 		}
 	}

@@ -8,7 +8,6 @@ import (
 	"hash"
 	"math"
 	"math/rand"
-	"slices"
 	"testing"
 
 	"jobgraph/internal/dag"
@@ -36,20 +35,15 @@ func goldenCorpus(t testing.TB, seed int64) []*dag.Graph {
 		dag.New("empty"))
 }
 
-// hashVectors feeds every vector's (key, count) pairs, sorted by key,
+// hashVectors feeds every vector's (key, count) pairs, in key order,
 // into h; a vector boundary is marked so split points matter.
-func hashVectors(h hash.Hash, vecs []Vector) {
+func hashVectors(h hash.Hash, vecs []CompactVector) {
 	var b [8]byte
 	for _, v := range vecs {
-		keys := make([]int, 0, len(v))
-		for k := range v {
-			keys = append(keys, k)
-		}
-		slices.Sort(keys)
-		for _, k := range keys {
+		for i, k := range v.Keys {
 			binary.LittleEndian.PutUint64(b[:], uint64(k))
 			h.Write(b[:])
-			binary.LittleEndian.PutUint64(b[:], math.Float64bits(v[k]))
+			binary.LittleEndian.PutUint64(b[:], math.Float64bits(v.Vals[i]))
 			h.Write(b[:])
 		}
 		h.Write([]byte{'|'})
@@ -77,9 +71,9 @@ func goldenSettings() []Options {
 	return out
 }
 
-func embedAll(t *testing.T, graphs []*dag.Graph, embed func(*dag.Graph) (Vector, error)) []Vector {
+func embedAll(t *testing.T, graphs []*dag.Graph, embed func(*dag.Graph) (CompactVector, error)) []CompactVector {
 	t.Helper()
-	out := make([]Vector, len(graphs))
+	out := make([]CompactVector, len(graphs))
 	for i, g := range graphs {
 		v, err := embed(g)
 		if err != nil {
@@ -114,7 +108,7 @@ func goldenDigests(t *testing.T) map[string]string {
 
 			hit := d.Freeze()
 			hashVectors(sum(base.String()+"/frozen-hit"),
-				embedAll(t, corpus, func(g *dag.Graph) (Vector, error) { return hit.Embed(g, o) }))
+				embedAll(t, corpus, func(g *dag.Graph) (CompactVector, error) { return hit.Embed(g, o) }))
 
 			_, od, err := Features(other, o)
 			if err != nil {
@@ -122,7 +116,7 @@ func goldenDigests(t *testing.T) map[string]string {
 			}
 			miss := od.Freeze()
 			hashVectors(sum(base.String()+"/frozen-miss"),
-				embedAll(t, corpus, func(g *dag.Graph) (Vector, error) { return miss.Embed(g, o) }))
+				embedAll(t, corpus, func(g *dag.Graph) (CompactVector, error) { return miss.Embed(g, o) }))
 		}
 		for _, buckets := range []int{64, 1 << 20} {
 			vecs, err := HashedFeatures(corpus, opt, buckets, 1)
@@ -147,7 +141,7 @@ func goldenDigests(t *testing.T) map[string]string {
 			t.Fatal(err)
 		}
 		fz := d.Freeze()
-		query := embedAll(t, corpus, func(g *dag.Graph) (Vector, error) { return fz.Embed(g, sp) })
+		query := embedAll(t, corpus, func(g *dag.Graph) (CompactVector, error) { return fz.Embed(g, sp) })
 		sims := make([]float64, 0, len(query)*len(train))
 		for _, q := range query {
 			for _, tr := range train {

@@ -2,6 +2,7 @@ package wl
 
 import (
 	"fmt"
+	"math"
 	"runtime"
 	"sync"
 
@@ -18,10 +19,11 @@ import (
 // by the exact-vs-hashed agreement test and ablation).
 //
 // Vectors hashed with the same bucket count are mutually comparable;
-// buckets <= 0 selects 1<<20. workers <= 0 selects GOMAXPROCS. Only the
-// subtree base kernel is supported: the other bases exist for the
-// comparison ablations, not the scale path.
-func HashedFeatures(graphs []*dag.Graph, opt Options, buckets, workers int) ([]Vector, error) {
+// buckets <= 0 selects 1<<20, and buckets above math.MaxInt32 are
+// rejected because vector keys are int32. workers <= 0 selects
+// GOMAXPROCS. Only the subtree base kernel is supported: the other
+// bases exist for the comparison ablations, not the scale path.
+func HashedFeatures(graphs []*dag.Graph, opt Options, buckets, workers int) ([]CompactVector, error) {
 	if err := opt.validate(); err != nil {
 		return nil, err
 	}
@@ -31,6 +33,9 @@ func HashedFeatures(graphs []*dag.Graph, opt Options, buckets, workers int) ([]V
 	if buckets <= 0 {
 		buckets = 1 << 20
 	}
+	if buckets > math.MaxInt32 {
+		return nil, fmt.Errorf("wl: %d hash buckets exceed the int32 key space", buckets)
+	}
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
@@ -38,7 +43,7 @@ func HashedFeatures(graphs []*dag.Graph, opt Options, buckets, workers int) ([]V
 		workers = len(graphs)
 	}
 
-	out := make([]Vector, len(graphs))
+	out := make([]CompactVector, len(graphs))
 	var wg sync.WaitGroup
 	work := make(chan int)
 	for w := 0; w < workers; w++ {
@@ -65,7 +70,7 @@ func HashedFeatures(graphs []*dag.Graph, opt Options, buckets, workers int) ([]V
 // hashedEmbed computes one graph's hashed WL subtree vector with a
 // throwaway embedder — the one-off entry point for callers outside the
 // batched HashedFeatures fan-out (e.g. ANNIndex.AddGraph).
-func hashedEmbed(g *dag.Graph, opt Options, buckets int) Vector {
+func hashedEmbed(g *dag.Graph, opt Options, buckets int) CompactVector {
 	return newEmbedder(nil, nil, buckets).embed(g, opt)
 }
 

@@ -42,13 +42,8 @@ func TestHashedFeaturesWorkerInvariance(t *testing.T) {
 			t.Fatal(err)
 		}
 		for i := range ref {
-			if len(got[i]) != len(ref[i]) {
-				t.Fatalf("workers=%d: vector %d support differs", w, i)
-			}
-			for k, c := range ref[i] {
-				if got[i][k] != c {
-					t.Fatalf("workers=%d: vector %d differs at %d", w, i, k)
-				}
+			if !vecEqual(got[i], ref[i]) {
+				t.Fatalf("workers=%d: vector %d differs", w, i)
 			}
 		}
 	}
@@ -64,6 +59,12 @@ func TestHashedFeaturesValidation(t *testing.T) {
 	if _, err := HashedFeatures(graphs, opt, 0, 0); err == nil {
 		t.Fatal("non-subtree base accepted")
 	}
+	// Vector keys are int32: a wider bucket space would truncate keys.
+	for _, buckets := range []int{math.MaxInt32 + 1, 5000000000} {
+		if _, err := HashedFeatures(graphs, DefaultOptions(), buckets, 0); err == nil {
+			t.Fatalf("%d buckets accepted", buckets)
+		}
+	}
 }
 
 func TestHashedFeaturesMassProperty(t *testing.T) {
@@ -77,7 +78,7 @@ func TestHashedFeaturesMassProperty(t *testing.T) {
 		}
 		for i, g := range graphs {
 			var mass float64
-			for _, c := range hashed[i] {
+			for _, c := range hashed[i].Vals {
 				mass += c
 			}
 			if mass != float64(g.Size()*(opt.Iterations+1)) {

@@ -26,7 +26,7 @@ type MatrixOptions struct {
 	// OnRow, when non-nil, is invoked serially after each completed row
 	// with the number of rows finished so far and the total. Returning a
 	// non-nil error cancels the computation: in-flight rows finish, all
-	// workers drain, and MatrixFromVectorsOpts returns a nil matrix
+	// workers drain, and SymMatrixFromCompactOpts returns a nil matrix
 	// wrapping the callback's error. This is the hook for progress
 	// reporting, deadlines, and cooperative cancellation.
 	OnRow func(done, total int) error
@@ -49,24 +49,9 @@ func KernelMatrix(graphs []*dag.Graph, opt Options, workers int) (*linalg.Matrix
 	if err != nil {
 		return nil, err
 	}
-	return MatrixFromVectors(vecs, workers)
-}
-
-// MatrixFromVectors computes the normalized similarity matrix from
-// pre-computed feature vectors (they must share one dictionary).
-func MatrixFromVectors(vecs []Vector, workers int) (*linalg.Matrix, error) {
-	return MatrixFromVectorsOpts(vecs, MatrixOptions{Workers: workers})
-}
-
-// MatrixFromVectorsOpts is MatrixFromVectors with progress reporting and
-// cooperative cancellation (see MatrixOptions.OnRow).
-func MatrixFromVectorsOpts(vecs []Vector, opt MatrixOptions) (*linalg.Matrix, error) {
 	n := len(vecs)
-	if n == 0 {
-		return nil, fmt.Errorf("wl: kernel matrix over zero vectors")
-	}
 	m := linalg.NewMatrix(n, n)
-	if err := kernelInto(vecs, opt, func(i, j int, s float64) {
+	if err := kernelPairs(vecs, MatrixOptions{Workers: workers}, func(i, j int, s float64) {
 		m.Set(i, j, s)
 		m.Set(j, i, s)
 	}); err != nil {
@@ -75,66 +60,33 @@ func MatrixFromVectorsOpts(vecs []Vector, opt MatrixOptions) (*linalg.Matrix, er
 	return m, nil
 }
 
-// SymMatrixFromVectorsOpts computes the same normalized kernel into a
-// packed symmetric matrix — half the memory of the dense form, which is
-// what the pipeline caches and ships between stages. Call Dense on the
-// result where a full n² layout is required.
-func SymMatrixFromVectorsOpts(vecs []Vector, opt MatrixOptions) (*linalg.SymMatrix, error) {
-	n := len(vecs)
-	if n == 0 {
-		return nil, fmt.Errorf("wl: kernel matrix over zero vectors")
-	}
-	m := linalg.NewSymMatrix(n)
-	if err := kernelInto(vecs, opt, m.Set); err != nil {
-		return nil, err
-	}
-	return m, nil
-}
-
-// SymMatrixFromCompactOpts computes the normalized kernel over compact
-// vectors: every pairwise product is a linear merge-join over sorted
-// key arrays instead of a hash-map walk, and the result is packed. The
-// values are bit-identical to the map-vector paths — counts are exact
-// integers, so summation order cannot change a kernel value.
+// SymMatrixFromCompactOpts computes the normalized kernel over
+// pre-computed feature vectors (they must share one label space) into
+// a packed symmetric matrix — half the memory of the dense form, which
+// is what the pipeline caches and ships between stages. Call Dense on
+// the result where a full n² layout is required.
 func SymMatrixFromCompactOpts(vecs []CompactVector, opt MatrixOptions) (*linalg.SymMatrix, error) {
 	n := len(vecs)
 	if n == 0 {
 		return nil, fmt.Errorf("wl: kernel matrix over zero vectors")
 	}
-	self := make([]float64, n)
-	for i := range vecs {
-		self[i] = vecs[i].SelfDot()
-	}
 	m := linalg.NewSymMatrix(n)
-	err := kernelPairs(n, opt, self, func(i, j int) float64 {
-		return vecs[i].Dot(vecs[j])
-	}, m.Set)
-	if err != nil {
+	if err := kernelPairs(vecs, opt, m.Set); err != nil {
 		return nil, err
 	}
 	return m, nil
 }
 
-// kernelInto is the map-vector front end of kernelPairs.
-func kernelInto(vecs []Vector, opt MatrixOptions, set func(i, j int, s float64)) error {
-	n := len(vecs)
-	// Pre-compute self-kernels once.
-	self := make([]float64, n)
-	for i, v := range vecs {
-		self[i] = Dot(v, v)
-	}
-	return kernelPairs(n, opt, self, func(i, j int) float64 {
-		return Dot(vecs[i], vecs[j])
-	}, set)
-}
-
 // kernelPairs runs the parallel pairwise computation, delivering each
 // normalized upper-triangle cell (i <= j) exactly once through set.
-// dot supplies the raw kernel value for a pair; self holds the
-// precomputed self-kernels. Workers own disjoint rows, so set never
-// sees the same cell twice and needs no locking as long as distinct
-// cells have distinct storage.
-func kernelPairs(n int, opt MatrixOptions, self []float64, dot func(i, j int) float64, set func(i, j int, s float64)) error {
+// Workers own disjoint rows, so set never sees the same cell twice and
+// needs no locking as long as distinct cells have distinct storage.
+func kernelPairs(vecs []CompactVector, opt MatrixOptions, set func(i, j int, s float64)) error {
+	n := len(vecs)
+	self := make([]float64, n)
+	for i := range vecs {
+		self[i] = vecs[i].SelfDot()
+	}
 	workers := opt.Workers
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
@@ -163,20 +115,10 @@ func kernelPairs(n int, opt MatrixOptions, self []float64, dot func(i, j int) fl
 		go func() {
 			defer wg.Done()
 			for i := range rows {
-				for j := i; j < n; j++ {
-					var s float64
-					switch {
-					case i == j:
-						s = 1
-					case self[i] == 0 && self[j] == 0:
-						s = 1 // two empty graphs coincide
-					case self[i] == 0 || self[j] == 0:
-						s = 0
-					default:
-						s = normalizeKernel(dot(i, j), self[i], self[j])
-					}
+				set(i, i, 1)
+				for j := i + 1; j < n; j++ {
 					// Distinct cells per (i,j): no write conflicts.
-					set(i, j, s)
+					set(i, j, normalizeKernel(vecs[i].Dot(vecs[j]), self[i], self[j]))
 				}
 				if opt.OnRow == nil {
 					continue

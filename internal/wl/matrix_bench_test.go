@@ -7,11 +7,11 @@ import (
 	"jobgraph/internal/dag"
 )
 
-// BenchmarkMatrixFromVectors measures the kernel-matrix stage in
+// BenchmarkSymMatrixFromCompact measures the kernel-matrix stage in
 // isolation: 100 feature vectors from realistic random DAGs, all
 // pairwise normalized dot products. Run with -benchmem: the alloc
 // budget here is the perf-gated wl.matrix stage cost.
-func BenchmarkMatrixFromVectors(b *testing.B) {
+func BenchmarkSymMatrixFromCompact(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))
 	graphs := make([]*dag.Graph, 100)
 	for i := range graphs {
@@ -24,7 +24,7 @@ func BenchmarkMatrixFromVectors(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := MatrixFromVectors(vecs, 4); err != nil {
+		if _, err := SymMatrixFromCompactOpts(vecs, MatrixOptions{Workers: 4}); err != nil {
 			b.Fatal(err)
 		}
 	}

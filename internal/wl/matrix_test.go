@@ -114,7 +114,7 @@ func TestKernelMatrixEmptyInput(t *testing.T) {
 	if _, err := KernelMatrix(nil, DefaultOptions(), 1); err == nil {
 		t.Fatal("empty input accepted")
 	}
-	if _, err := MatrixFromVectors(nil, 1); err == nil {
+	if _, err := SymMatrixFromCompactOpts(nil, MatrixOptions{Workers: 1}); err == nil {
 		t.Fatal("empty vectors accepted")
 	}
 }
@@ -155,7 +155,7 @@ func TestIdenticalChainsClusterAtOne(t *testing.T) {
 	}
 }
 
-func testVectors(t testing.TB, n int, seed int64) []Vector {
+func testVectors(t testing.TB, n int, seed int64) []CompactVector {
 	t.Helper()
 	vecs, _, err := Features(sampleGraphs(t, n, seed), DefaultOptions())
 	if err != nil {
@@ -168,7 +168,7 @@ func TestMatrixOnRowProgress(t *testing.T) {
 	vecs := testVectors(t, 25, 5)
 	var calls int
 	last := 0
-	m, err := MatrixFromVectorsOpts(vecs, MatrixOptions{Workers: 1, OnRow: func(done, total int) error {
+	m, err := SymMatrixFromCompactOpts(vecs, MatrixOptions{Workers: 1, OnRow: func(done, total int) error {
 		calls++
 		if total != 25 || done != last+1 {
 			t.Fatalf("progress (%d,%d) after %d", done, total, last)
@@ -193,7 +193,7 @@ func TestMatrixAbortMidRun(t *testing.T) {
 	before := runtime.NumGoroutine()
 	boom := errors.New("deadline blown")
 	for trial := 0; trial < 20; trial++ {
-		m, err := MatrixFromVectorsOpts(vecs, MatrixOptions{Workers: 8, OnRow: func(done, total int) error {
+		m, err := SymMatrixFromCompactOpts(vecs, MatrixOptions{Workers: 8, OnRow: func(done, total int) error {
 			if done >= 3+trial {
 				return boom
 			}
@@ -223,7 +223,7 @@ func TestMatrixAbortMidRun(t *testing.T) {
 func TestMatrixAbortFirstRow(t *testing.T) {
 	vecs := testVectors(t, 10, 7)
 	boom := errors.New("stop immediately")
-	m, err := MatrixFromVectorsOpts(vecs, MatrixOptions{Workers: 4, OnRow: func(done, total int) error {
+	m, err := SymMatrixFromCompactOpts(vecs, MatrixOptions{Workers: 4, OnRow: func(done, total int) error {
 		return boom
 	}})
 	if m != nil || !errors.Is(err, boom) {
@@ -233,16 +233,16 @@ func TestMatrixAbortFirstRow(t *testing.T) {
 
 func TestMatrixOptsMatchesPlain(t *testing.T) {
 	vecs := testVectors(t, 15, 8)
-	a, err := MatrixFromVectors(vecs, 4)
+	a, err := SymMatrixFromCompactOpts(vecs, MatrixOptions{Workers: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := MatrixFromVectorsOpts(vecs, MatrixOptions{Workers: 4, OnRow: func(done, total int) error { return nil }})
+	b, err := SymMatrixFromCompactOpts(vecs, MatrixOptions{Workers: 4, OnRow: func(done, total int) error { return nil }})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < a.Rows; i++ {
-		for j := 0; j < a.Cols; j++ {
+	for i := 0; i < a.N; i++ {
+		for j := 0; j < a.N; j++ {
 			if a.At(i, j) != b.At(i, j) {
 				t.Fatalf("matrices differ at (%d,%d)", i, j)
 			}

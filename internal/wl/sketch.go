@@ -19,11 +19,12 @@ import (
 // options (same hash family, same width); ANNIndex enforces that.
 type SketchOptions struct {
 	// Buckets is the hashed-feature space width the sketched vectors
-	// live in (HashedFeatures' bucket count). <=0 selects 1<<20.
+	// live in (HashedFeatures' bucket count). <=0 selects 1<<20; at
+	// most math.MaxInt32, the int32 vector key space.
 	Buckets int
 	// Hashes is the MinHash signature width H. More hashes estimate
 	// Jaccard similarity more tightly and cost proportionally more to
-	// sketch. <=0 selects 64.
+	// sketch. <=0 selects 64; at most maxSketchHashes.
 	Hashes int
 	// Bands divides the signature into Bands groups of Hashes/Bands
 	// rows for LSH: two jobs become query candidates when any band of
@@ -63,6 +64,11 @@ func (o SketchOptions) withDefaults() SketchOptions {
 	return o
 }
 
+// maxSketchHashes bounds the signature width: far above any useful
+// width, and low enough that options decoded from a corrupt index file
+// cannot size the hash family in gigabytes.
+const maxSketchHashes = 1 << 12
+
 // Resolved returns the options with zero fields filled in — the form
 // the sketching functions actually run under. Cache fingerprints hash
 // this form so a zero-value configuration and an explicitly-spelled
@@ -70,8 +76,8 @@ func (o SketchOptions) withDefaults() SketchOptions {
 func (o SketchOptions) Resolved() SketchOptions { return o.withDefaults() }
 
 func (o SketchOptions) validate() error {
-	if o.Hashes < 1 {
-		return fmt.Errorf("wl: sketch hashes %d < 1", o.Hashes)
+	if o.Hashes < 1 || o.Hashes > maxSketchHashes {
+		return fmt.Errorf("wl: sketch hashes %d out of range [1,%d]", o.Hashes, maxSketchHashes)
 	}
 	if o.Bands < 1 || o.Bands > o.Hashes {
 		return fmt.Errorf("wl: sketch bands %d out of range [1,%d]", o.Bands, o.Hashes)
@@ -79,8 +85,8 @@ func (o SketchOptions) validate() error {
 	if o.Hashes%o.Bands != 0 {
 		return fmt.Errorf("wl: sketch bands %d must divide hashes %d", o.Bands, o.Hashes)
 	}
-	if o.Buckets < 1 {
-		return fmt.Errorf("wl: sketch buckets %d < 1", o.Buckets)
+	if o.Buckets < 1 || o.Buckets > math.MaxInt32 {
+		return fmt.Errorf("wl: sketch buckets %d out of range [1,%d]", o.Buckets, math.MaxInt32)
 	}
 	return nil
 }
@@ -123,7 +129,7 @@ func hashSeeds(opt SketchOptions) []uint64 {
 // vector. Only the support set (non-zero buckets) participates: MinHash
 // estimates the Jaccard similarity of supports, and the cosine re-rank
 // over the full vectors restores count sensitivity afterwards.
-func SketchVector(v Vector, opt SketchOptions) (Sketch, error) {
+func SketchVector(v CompactVector, opt SketchOptions) (Sketch, error) {
 	opt = opt.withDefaults()
 	if err := opt.validate(); err != nil {
 		return nil, err
@@ -133,16 +139,13 @@ func SketchVector(v Vector, opt SketchOptions) (Sketch, error) {
 
 // sketchWithSeeds is SketchVector with the hash family precomputed —
 // the bulk path used by Sketches and the index.
-func sketchWithSeeds(v Vector, seeds []uint64) Sketch {
+func sketchWithSeeds(v CompactVector, seeds []uint64) Sketch {
 	sig := make(Sketch, len(seeds))
 	for i := range sig {
 		sig[i] = emptySlot
 	}
-	for key := range v {
-		if v[key] == 0 {
-			continue
-		}
-		k := uint64(uint32(key)) // buckets fit 32 bits; normalize sign
+	for _, key := range v.Keys {
+		k := uint64(uint32(key))
 		for i, s := range seeds {
 			if h := mix64(k ^ s); h < sig[i] {
 				sig[i] = h
@@ -156,7 +159,7 @@ func sketchWithSeeds(v Vector, seeds []uint64) Sketch {
 // worker pool. Each signature depends only on its own vector, so the
 // result is bit-identical at every worker count (pinned by test).
 // workers <= 0 selects GOMAXPROCS.
-func Sketches(vectors []Vector, opt SketchOptions, workers int) ([]Sketch, error) {
+func Sketches(vectors []CompactVector, opt SketchOptions, workers int) ([]Sketch, error) {
 	opt = opt.withDefaults()
 	if err := opt.validate(); err != nil {
 		return nil, err

@@ -2,17 +2,18 @@ package wl
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"testing"
 )
 
 // randVector builds a sparse vector with n features drawn from [0, space).
-func randVector(rng *rand.Rand, n, space int) Vector {
-	v := make(Vector)
+func randVector(rng *rand.Rand, n, space int) CompactVector {
+	v := make(map[int]float64)
 	for len(v) < n {
 		v[rng.Intn(space)] = float64(1 + rng.Intn(5))
 	}
-	return v
+	return fromMap(v)
 }
 
 func TestSketchOptionsValidate(t *testing.T) {
@@ -25,9 +26,14 @@ func TestSketchOptionsValidate(t *testing.T) {
 		{SketchOptions{Hashes: 64, Bands: 64, Buckets: 1 << 10, Seed: 1}, true},
 		{SketchOptions{Hashes: 64, Bands: 48, Buckets: 1 << 10, Seed: 1}, false}, // 48 ∤ 64
 		{SketchOptions{Hashes: 8, Bands: 16, Buckets: 1 << 10, Seed: 1}, false},  // bands > hashes
+		{SketchOptions{Hashes: 64, Bands: 16, Buckets: math.MaxInt32, Seed: 1}, true},
+		{SketchOptions{Hashes: 64, Bands: 16, Buckets: math.MaxInt32 + 1, Seed: 1}, false}, // keys are int32
+		{SketchOptions{Hashes: 64, Bands: 16, Buckets: 5000000000, Seed: 1}, false},
+		{SketchOptions{Hashes: maxSketchHashes, Bands: 16, Buckets: 1 << 10, Seed: 1}, true},
+		{SketchOptions{Hashes: 1 << 40, Bands: 16, Buckets: 1 << 10, Seed: 1}, false}, // a corrupt file's width
 	}
 	for i, c := range cases {
-		_, err := SketchVector(Vector{1: 1}, c.opt)
+		_, err := SketchVector(fromMap(map[int]float64{1: 1}), c.opt)
 		if (err == nil) != c.ok {
 			t.Errorf("case %d: err=%v, want ok=%v", i, err, c.ok)
 		}
@@ -35,7 +41,7 @@ func TestSketchOptionsValidate(t *testing.T) {
 }
 
 func TestSketchEmptyVector(t *testing.T) {
-	sig, err := SketchVector(Vector{}, SketchOptions{})
+	sig, err := SketchVector(CompactVector{}, SketchOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -44,21 +50,13 @@ func TestSketchEmptyVector(t *testing.T) {
 			t.Fatalf("position %d of empty sketch is %d, want sentinel", i, x)
 		}
 	}
-	// A zero-count key is not support.
-	sig2, err := SketchVector(Vector{7: 0}, SketchOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sig2[0] != emptySlot {
-		t.Fatal("zero-count feature contributed to sketch")
-	}
 }
 
 // Equal supports must sketch identically regardless of counts — MinHash
 // sees the support set only.
 func TestSketchIgnoresCounts(t *testing.T) {
-	a := Vector{3: 1, 9: 2, 100: 7}
-	b := Vector{3: 5, 9: 1, 100: 2}
+	a := fromMap(map[int]float64{3: 1, 9: 2, 100: 7})
+	b := fromMap(map[int]float64{3: 5, 9: 1, 100: 2})
 	sa, err := SketchVector(a, SketchOptions{})
 	if err != nil {
 		t.Fatal(err)
@@ -78,7 +76,7 @@ func TestSketchIgnoresCounts(t *testing.T) {
 // depends only on its own vector, and the cache keys rely on it.
 func TestSketchesDeterministicAcrossWorkers(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
-	vectors := make([]Vector, 300)
+	vectors := make([]CompactVector, 300)
 	for i := range vectors {
 		vectors[i] = randVector(rng, 1+rng.Intn(40), 1<<16)
 	}
@@ -113,7 +111,7 @@ func TestSketchJaccardEstimates(t *testing.T) {
 		{50, 50, 50},  // J=1/3
 		{0, 100, 100}, // disjoint: J=0
 	} {
-		a, b := make(Vector), make(Vector)
+		a, b := make(map[int]float64), make(map[int]float64)
 		for i := 0; i < tc.shared; i++ {
 			a[i] = 1
 			b[i] = 1
@@ -124,8 +122,8 @@ func TestSketchJaccardEstimates(t *testing.T) {
 		for i := 0; i < tc.onlyB; i++ {
 			b[2000+i] = 1
 		}
-		sa, _ := SketchVector(a, opt)
-		sb, _ := SketchVector(b, opt)
+		sa, _ := SketchVector(fromMap(a), opt)
+		sb, _ := SketchVector(fromMap(b), opt)
 		got, err := SketchJaccard(sa, sb)
 		if err != nil {
 			t.Fatal(err)
@@ -164,7 +162,7 @@ func TestBandKey(t *testing.T) {
 }
 
 func ExampleSketchVector() {
-	sig, _ := SketchVector(Vector{1: 2, 5: 1}, SketchOptions{Hashes: 4, Bands: 2, Buckets: 64, Seed: 1})
+	sig, _ := SketchVector(fromMap(map[int]float64{1: 2, 5: 1}), SketchOptions{Hashes: 4, Bands: 2, Buckets: 64, Seed: 1})
 	fmt.Println(len(sig))
 	// Output: 4
 }

@@ -55,7 +55,7 @@ func TestSPSingleNodeNonEmpty(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(vecs[0]) == 0 {
+	if len(vecs[0].Keys) == 0 {
 		t.Fatal("single-node SP vector is empty")
 	}
 }
@@ -141,7 +141,7 @@ func TestSPVectorMassProperty(t *testing.T) {
 			return false
 		}
 		var mass float64
-		for _, c := range vecs[0] {
+		for _, c := range vecs[0].Vals {
 			mass += c
 		}
 		return mass == float64((h+1)*pairs)
@@ -235,7 +235,7 @@ func TestEdgeKernelEdgeFreeGraphNonEmpty(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(vecs[0]) == 0 {
+	if len(vecs[0].Keys) == 0 {
 		t.Fatal("edge-kernel vector empty for single node")
 	}
 }
@@ -252,7 +252,7 @@ func TestEdgeKernelMassProperty(t *testing.T) {
 			return false
 		}
 		var mass float64
-		for _, c := range vecs[0] {
+		for _, c := range vecs[0].Vals {
 			mass += c
 		}
 		return mass == float64((h+1)*(n+g.NumEdges()))

@@ -74,46 +74,23 @@ func (o Options) validate() error {
 	return nil
 }
 
-// Vector is a sparse label-count feature vector φ(G). Keys are
-// dictionary-compressed label ids, values are occurrence counts.
-type Vector map[int]float64
-
-// Dot returns ⟨a, b⟩ — the un-normalized WL subtree kernel value.
-func Dot(a, b Vector) float64 {
-	if len(b) < len(a) {
-		a, b = b, a
-	}
-	var s float64
-	for k, va := range a {
-		if vb, ok := b[k]; ok {
-			s += va * vb
-		}
-	}
-	return s
-}
-
 // Similarity returns the normalized kernel k(a,b)/√(k(a,a)·k(b,b)) in
 // [0, 1]. Two empty vectors (empty graphs) are defined as similarity 1;
 // an empty vector against a non-empty one is 0.
-func Similarity(a, b Vector) float64 {
-	return similarityWithSelf(a, b, Dot(a, a), Dot(b, b))
-}
-
-// similarityWithSelf is Similarity with the self-kernels precomputed,
-// shared with the kernel-matrix fast path.
-func similarityWithSelf(a, b Vector, ka, kb float64) float64 {
-	if ka == 0 && kb == 0 {
-		return 1
-	}
-	if ka == 0 || kb == 0 {
-		return 0
-	}
-	return normalizeKernel(Dot(a, b), ka, kb)
+func Similarity(a, b CompactVector) float64 {
+	return normalizeKernel(a.Dot(b), a.SelfDot(), b.SelfDot())
 }
 
 // normalizeKernel maps a raw kernel value kab and the two self-kernels
-// to the normalized similarity in [0, 1]. ka and kb must be non-zero.
+// to the normalized similarity in [0, 1], with Similarity's conventions
+// for empty vectors (a zero self-kernel).
 func normalizeKernel(kab, ka, kb float64) float64 {
+	if ka == 0 || kb == 0 {
+		if ka == kb {
+			return 1 // two empty graphs coincide
+		}
+		return 0
+	}
 	// By Cauchy–Schwarz kab² ≤ ka·kb with equality iff the vectors are
 	// parallel; identical graphs must report exactly 1.0 (the paper's
 	// Figure 7 relies on exact-1 blocks), so catch equality before the
@@ -195,9 +172,9 @@ func (f *Frozen) Len() int { return len(f.ids) }
 
 // Embed computes the WL feature vector of g against the frozen label
 // space without mutating it. See Dictionary.Embed for semantics.
-func (f *Frozen) Embed(g *dag.Graph, opt Options) (Vector, error) {
+func (f *Frozen) Embed(g *dag.Graph, opt Options) (CompactVector, error) {
 	if err := opt.validate(); err != nil {
-		return nil, err
+		return CompactVector{}, err
 	}
 	e, _ := f.pool.Get().(*embedder)
 	if e == nil {
@@ -208,9 +185,9 @@ func (f *Frozen) Embed(g *dag.Graph, opt Options) (Vector, error) {
 	return vec, nil
 }
 
-// GobEncode implements gob.GobEncoder so analyses cached by the engine
-// retain their kernel state: a restored dictionary embeds new graphs
-// (Analysis.AssignGroup) with exactly the ids the original interned.
+// GobEncode implements gob.GobEncoder so cached analyses and saved
+// models retain their kernel state: a restored dictionary embeds new
+// graphs with exactly the ids the original interned.
 func (d *Dictionary) GobEncode() ([]byte, error) {
 	var buf bytes.Buffer
 	if err := gob.NewEncoder(&buf).Encode(d.ids); err != nil {
@@ -252,9 +229,9 @@ func checkIDs(ids map[string]int) error {
 // interning any new labels. Embedding is deterministic given the
 // dictionary state, and embedding the same graph twice yields the same
 // vector.
-func (d *Dictionary) Embed(g *dag.Graph, opt Options) (Vector, error) {
+func (d *Dictionary) Embed(g *dag.Graph, opt Options) (CompactVector, error) {
 	if err := opt.validate(); err != nil {
-		return nil, err
+		return CompactVector{}, err
 	}
 	if d.fe == nil {
 		d.fe = newEmbedder(d, nil, 0)
@@ -264,9 +241,9 @@ func (d *Dictionary) Embed(g *dag.Graph, opt Options) (Vector, error) {
 
 // Features embeds every graph with one shared dictionary and returns the
 // vectors in input order.
-func Features(graphs []*dag.Graph, opt Options) ([]Vector, *Dictionary, error) {
+func Features(graphs []*dag.Graph, opt Options) ([]CompactVector, *Dictionary, error) {
 	d := NewDictionary()
-	out := make([]Vector, len(graphs))
+	out := make([]CompactVector, len(graphs))
 	for i, g := range graphs {
 		v, err := d.Embed(g, opt)
 		if err != nil {

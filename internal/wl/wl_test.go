@@ -3,12 +3,33 @@ package wl
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
 	"jobgraph/internal/dag"
 	"jobgraph/internal/taskname"
 )
+
+// fromMap builds the compact vector with m's non-zero entries.
+func fromMap(m map[int]float64) CompactVector {
+	var v CompactVector
+	for k, c := range m {
+		if c != 0 {
+			v.Keys = append(v.Keys, int32(k))
+		}
+	}
+	slices.Sort(v.Keys)
+	for _, k := range v.Keys {
+		v.Vals = append(v.Vals, m[int(k)])
+	}
+	return v
+}
+
+// vecEqual reports whether two vectors have the same entries.
+func vecEqual(a, b CompactVector) bool {
+	return slices.Equal(a.Keys, b.Keys) && slices.Equal(a.Vals, b.Vals)
+}
 
 // chainGraph builds M1 -> R2 -> ... -> Rn.
 func chainGraph(t testing.TB, id string, n int) *dag.Graph {
@@ -267,7 +288,7 @@ func TestVectorTotalMassProperty(t *testing.T) {
 			return false
 		}
 		var mass float64
-		for _, c := range vecs[0] {
+		for _, c := range vecs[0].Vals {
 			mass += c
 		}
 		return mass == float64(n*(h+1))
@@ -317,14 +338,9 @@ func TestEmbedDeterministic(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			for name, v2 := range map[string]Vector{"same dictionary": again, "fresh dictionary": fresh} {
-				if len(v1) != len(v2) {
-					t.Fatalf("%s: vectors differ in support: %d vs %d", name, len(v1), len(v2))
-				}
-				for k, c := range v1 {
-					if v2[k] != c {
-						t.Fatalf("%s: vectors differ at label %d: %g vs %g", name, k, c, v2[k])
-					}
+			for name, v2 := range map[string]CompactVector{"same dictionary": again, "fresh dictionary": fresh} {
+				if !vecEqual(v1, v2) {
+					t.Fatalf("%s: vectors differ: %v vs %v", name, v1, v2)
 				}
 			}
 		})
@@ -353,9 +369,9 @@ func TestDictionaryGrowth(t *testing.T) {
 }
 
 func TestDotOrderIndependent(t *testing.T) {
-	a := Vector{1: 2, 2: 3}
-	b := Vector{2: 5, 9: 1}
-	if Dot(a, b) != 15 || Dot(b, a) != 15 {
-		t.Fatalf("dot = %g / %g", Dot(a, b), Dot(b, a))
+	a := CompactVector{Keys: []int32{1, 2}, Vals: []float64{2, 3}}
+	b := CompactVector{Keys: []int32{2, 9}, Vals: []float64{5, 1}}
+	if a.Dot(b) != 15 || b.Dot(a) != 15 {
+		t.Fatalf("dot = %g / %g", a.Dot(b), b.Dot(a))
 	}
 }
