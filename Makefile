@@ -26,6 +26,7 @@ fuzz:
 	$(GO) test -fuzz=FuzzReadTasks -fuzztime=30s ./internal/trace/
 	$(GO) test -fuzz=FuzzLoadModel -fuzztime=30s ./internal/core/
 	$(GO) test -fuzz=FuzzLoadANNIndex -fuzztime=30s ./internal/wl/
+	$(GO) test -fuzz=FuzzOpenJournal -fuzztime=30s ./internal/serve/
 
 reproduce:
 	$(GO) run ./cmd/reproduce -gen 20000 -seed 1 -out results/

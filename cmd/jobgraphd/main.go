@@ -8,14 +8,17 @@
 //	jobgraphd [-addr localhost:8847] [-model model.gob]
 //	          [-ann] [-ann-index index.gob]
 //	          [-trace batch_task.csv | -gen 10000] [-sample 100] [-groups 5]
-//	          [-journal serve.journal] [-batch-size 64] [-batch-wait 25ms]
-//	          [-queue-depth 1024] [-request-timeout 30s] [-drain-timeout 30s]
+//	          [-journal serve.journal] [-batch-size 64] [-queue-depth 1024]
+//	          [-request-timeout 30s] [-drain-timeout 30s]
 //	          [-v] [-watchdog 30s] [-ledger runs.jsonl] ...
 //
 // Robustness contract:
 //
-//   - A full admission queue answers 429 + Retry-After; nothing queues
-//     unbounded. Clients retry with internal/serve/client.
+//   - Admission is group commit without a timer: a request on an idle
+//     daemon is flushed at once; requests arriving during a flush share
+//     the next one (at most -batch-size ops).
+//   - A full admission queue answers 429 + Retry-After: 1; nothing
+//     queues unbounded. Clients retry with internal/serve/client.
 //   - Every accepted row is fsync'd to -journal before acknowledgment;
 //     kill -9 the daemon and the next boot replays the journal and
 //     classifies every accepted job exactly once.
@@ -63,8 +66,7 @@ func run() error {
 		annIndex  = flag.String("ann-index", "", "ANN index file: loaded when present, written after boot training with -ann")
 
 		journal        = flag.String("journal", "", "crash-safe admission journal path (empty: accepted work is not durable)")
-		batchSize      = flag.Int("batch-size", 64, "admission operations per group-committed batch")
-		batchWait      = flag.Duration("batch-wait", 25*time.Millisecond, "max latency before a non-full batch flushes")
+		batchSize      = flag.Int("batch-size", 64, "most admission operations one group-committed batch takes")
 		queueDepth     = flag.Int("queue-depth", 1024, "admission queue bound; beyond it requests get 429")
 		requestTimeout = flag.Duration("request-timeout", 30*time.Second, "per-request deadline (0: none)")
 		drainTimeout   = flag.Duration("drain-timeout", 30*time.Second, "bound on the SIGTERM graceful drain")
@@ -99,7 +101,6 @@ func run() error {
 		Workers:        *pf.Workers,
 		Batch: serve.BatcherConfig{
 			BatchSize:  *batchSize,
-			MaxWait:    *batchWait,
 			QueueDepth: *queueDepth,
 		},
 	}

@@ -511,13 +511,19 @@ func newRunID() string {
 
 // configHash fingerprints the effective flag configuration — every
 // flag's value, defaults included — so runs are comparable exactly
-// when their configuration matches. Call after flag.Parse.
+// when their configuration matches. Flags that only name where a run
+// writes its artifacts are left out: they do not change the workload.
+// Call after flag.Parse.
 func configHash(fs *flag.FlagSet) string {
 	if fs == nil {
 		return ""
 	}
 	h := fnv.New64a()
 	fs.VisitAll(func(f *flag.Flag) {
+		switch f.Name {
+		case "out", "ledger", "trace-out", "profile-dir", "flight-dir":
+			return
+		}
 		fmt.Fprintf(h, "%s=%s\n", f.Name, f.Value.String())
 	})
 	return fmt.Sprintf("%016x", h.Sum64())

@@ -288,6 +288,39 @@ func TestConfigHashDeterministic(t *testing.T) {
 	}
 }
 
+func TestConfigHashSkipsOutputPaths(t *testing.T) {
+	mk := func(args ...string) string {
+		fs := flag.NewFlagSet("test", flag.ContinueOnError)
+		RegisterObsFlagsOn(fs)
+		fs.Int("gen", 2000, "")
+		fs.String("out", "", "")
+		if err := fs.Parse(args); err != nil {
+			t.Fatal(err)
+		}
+		return configHash(fs)
+	}
+	base := mk()
+	for _, tc := range []struct {
+		flag string
+		same bool
+	}{
+		{"out", true},
+		{"ledger", true},
+		{"trace-out", true},
+		{"profile-dir", true},
+		{"flight-dir", true},
+		{"gen", false},
+	} {
+		val := "/elsewhere/x"
+		if tc.flag == "gen" {
+			val = "501"
+		}
+		if got := mk("-"+tc.flag, val); (got == base) != tc.same {
+			t.Errorf("-%s %s: hash %s vs default %s, want same=%v", tc.flag, val, got, base, tc.same)
+		}
+	}
+}
+
 func TestRunIDsAreUnique(t *testing.T) {
 	seen := map[string]bool{}
 	for i := 0; i < 64; i++ {

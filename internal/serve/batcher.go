@@ -1,9 +1,11 @@
 // Bounded admission batching: every mutating request enters a fixed-
 // depth queue and is flushed by one loop in groups, so the daemon gets
 // group-committed journal writes and explicit backpressure instead of
-// unbounded goroutine pileup. A full queue fails enqueue immediately
-// (the HTTP layer turns that into 429 + Retry-After); nothing in the
-// admission path ever grows without bound.
+// unbounded goroutine pileup. A group is whatever queued up while the
+// previous flush ran; an idle daemon flushes each op as it arrives. A
+// full queue fails enqueue immediately (the HTTP layer turns that into
+// 429 + Retry-After); nothing in the admission path ever grows without
+// bound.
 package serve
 
 import (
@@ -27,11 +29,8 @@ var (
 
 // BatcherConfig parameterizes the admission batcher.
 type BatcherConfig struct {
-	// BatchSize flushes a batch when this many operations are pending.
+	// BatchSize caps how many queued operations one flush takes.
 	BatchSize int
-	// MaxWait flushes a non-empty batch this long after its first
-	// operation arrived, bounding latency under light load.
-	MaxWait time.Duration
 	// QueueDepth bounds the admission queue; an enqueue beyond it fails
 	// with ErrQueueFull.
 	QueueDepth int
@@ -43,9 +42,6 @@ type BatcherConfig struct {
 func (c *BatcherConfig) defaults() {
 	if c.BatchSize <= 0 {
 		c.BatchSize = 64
-	}
-	if c.MaxWait <= 0 {
-		c.MaxWait = 25 * time.Millisecond
 	}
 	if c.QueueDepth <= 0 {
 		c.QueueDepth = 1024
@@ -137,15 +133,18 @@ func (b *Batcher) Submit(ctx context.Context, req any) (any, error) {
 	}
 }
 
-// QueueDepth reports the configured capacity (for Retry-After sizing).
-func (b *Batcher) QueueDepth() int { return b.cfg.QueueDepth }
+// idleBeat is the idle heartbeat cadence: frequent enough that any
+// plausible -watchdog budget sees a live loop, coarse enough to cost
+// nothing.
+const idleBeat = 100 * time.Millisecond
 
-// MaxWait reports the configured flush latency bound.
-func (b *Batcher) MaxWait() time.Duration { return b.cfg.MaxWait }
-
-// run is the admission loop: collect until BatchSize or MaxWait, then
-// flush. The loop's heartbeat beats on every arrival and on idle ticks,
-// so the stall watchdog distinguishes "no traffic" from "wedged".
+// run is the admission loop, a classic group commit: block for the
+// first op, take whatever else is already queued (up to BatchSize), and
+// flush at once. Ops that arrive while a flush and its fsyncs run wait
+// in the queue and form the next batch, so batching happens only while
+// there is disk work to amortise and a lone op never waits on a timer.
+// The loop's heartbeat beats on every arrival and on idle ticks, so the
+// stall watchdog distinguishes "no traffic" from "wedged".
 func (b *Batcher) run() {
 	reg := b.cfg.Registry
 	hb := reg.Heartbeat("serve.batcher")
@@ -153,62 +152,24 @@ func (b *Batcher) run() {
 	defer hb.Done()
 	defer close(b.stopped)
 
-	idle := time.NewTicker(idleBeat(b.cfg.MaxWait))
+	idle := time.NewTicker(idleBeat)
 	defer idle.Stop()
-
-	var batch []*op
-	timer := time.NewTimer(0)
-	if !timer.Stop() {
-		<-timer.C
-	}
-	timerLive := false
-	doFlush := func() {
-		if timerLive {
-			if !timer.Stop() {
-				select {
-				case <-timer.C:
-				default:
-				}
-			}
-			timerLive = false
-		}
-		if len(batch) > 0 {
-			b.flush(batch)
-			batch = nil
-		}
-	}
 
 	for {
 		select {
 		case o := <-b.queue:
 			hb.Beat()
-			batch = append(batch, o)
-			if len(batch) == 1 {
-				timer.Reset(b.cfg.MaxWait)
-				timerLive = true
-			}
-			if len(batch) >= b.cfg.BatchSize {
-				doFlush()
-			}
-		case <-timer.C:
-			timerLive = false
-			hb.Beat()
-			doFlush()
+			b.flush(b.collect(o))
 		case <-idle.C:
 			hb.Beat()
 		case <-b.draining:
 			// Shutdown: sweep everything already enqueued into final
 			// batches, then refuse the rest.
-			doFlush()
 			for {
 				select {
 				case o := <-b.queue:
-					batch = append(batch, o)
-					if len(batch) >= b.cfg.BatchSize {
-						doFlush()
-					}
+					b.flush(b.collect(o))
 				default:
-					doFlush()
 					close(b.dead)
 					// Final sweep: anything that raced into the queue
 					// after the drain loop saw it empty was never
@@ -227,18 +188,19 @@ func (b *Batcher) run() {
 	}
 }
 
-// idleBeat picks the idle heartbeat cadence: frequent enough that any
-// plausible -watchdog budget sees a live loop, coarse enough to cost
-// nothing.
-func idleBeat(maxWait time.Duration) time.Duration {
-	d := maxWait
-	if d < 100*time.Millisecond {
-		d = 100 * time.Millisecond
+// collect returns a batch of first plus every op already queued behind
+// it, up to BatchSize, without blocking.
+func (b *Batcher) collect(first *op) []*op {
+	batch := []*op{first}
+	for len(batch) < b.cfg.BatchSize {
+		select {
+		case o := <-b.queue:
+			batch = append(batch, o)
+		default:
+			return batch
+		}
 	}
-	if d > time.Second {
-		d = time.Second
-	}
-	return d
+	return batch
 }
 
 // Close begins the drain: new Submits fail with ErrDraining, operations

@@ -15,7 +15,6 @@ import (
 type echoFlush struct {
 	mu      sync.Mutex
 	batches [][]*op
-	delay   time.Duration
 	block   chan struct{} // when non-nil, flush waits for a receive
 	entered atomic.Int32  // flush calls started
 }
@@ -24,9 +23,6 @@ func (e *echoFlush) flush(batch []*op) {
 	e.entered.Add(1)
 	if e.block != nil {
 		<-e.block
-	}
-	if e.delay > 0 {
-		time.Sleep(e.delay)
 	}
 	e.mu.Lock()
 	e.batches = append(e.batches, batch)
@@ -42,41 +38,113 @@ func (e *echoFlush) batchCount() int {
 	return len(e.batches)
 }
 
+// A flush takes at most BatchSize ops: six ops queued behind a wedged
+// flush leave in batches of four and two.
 func TestBatcherFlushesBySize(t *testing.T) {
-	e := &echoFlush{}
-	b := newBatcher(BatcherConfig{BatchSize: 4, MaxWait: time.Hour, QueueDepth: 64, Registry: obs.NewRegistry()}, e.flush)
+	e := &echoFlush{block: make(chan struct{})}
+	b := newBatcher(BatcherConfig{BatchSize: 4, QueueDepth: 64, Registry: obs.NewRegistry()}, e.flush)
 	defer b.Close()
 
 	var wg sync.WaitGroup
-	for i := 0; i < 4; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			v, err := b.Submit(context.Background(), i)
-			if err != nil || v.(int) != i {
-				t.Errorf("submit %d: %v %v", i, v, err)
-			}
-		}(i)
+	submit := func(i int) {
+		defer wg.Done()
+		v, err := b.Submit(context.Background(), i)
+		if err != nil || v.(int) != i {
+			t.Errorf("submit %d: %v %v", i, v, err)
+		}
 	}
+	wg.Add(1)
+	go submit(0)
+	waitFor(t, "flush to wedge", func() bool { return e.entered.Load() == 1 })
+	for i := 1; i <= 6; i++ {
+		wg.Add(1)
+		go submit(i)
+	}
+	waitFor(t, "six ops to queue", func() bool { return len(b.queue) == 6 })
+	close(e.block)
 	wg.Wait()
-	// MaxWait is an hour: the only way these responded is a size flush.
-	if e.batchCount() == 0 {
-		t.Fatal("no batch flushed")
+
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	var sizes []int
+	for _, batch := range e.batches {
+		sizes = append(sizes, len(batch))
+	}
+	if len(sizes) != 3 || sizes[0] != 1 || sizes[1] != 4 || sizes[2] != 2 {
+		t.Fatalf("batch sizes %v, want [1 4 2]", sizes)
 	}
 }
 
-func TestBatcherFlushesByMaxWait(t *testing.T) {
-	e := &echoFlush{}
-	b := newBatcher(BatcherConfig{BatchSize: 1000, MaxWait: 20 * time.Millisecond, QueueDepth: 64, Registry: obs.NewRegistry()}, e.flush)
-	defer b.Close()
+// gatedFlush hands each batch to the test as its flush starts and holds
+// the flush until the test releases it. Closing done lets every flush
+// through, so a failed test can still Close the batcher.
+type gatedFlush struct {
+	started chan []*op
+	release chan struct{}
+	done    chan struct{}
+}
 
-	start := time.Now()
-	v, err := b.Submit(context.Background(), "solo")
-	if err != nil || v.(string) != "solo" {
-		t.Fatalf("submit: %v %v", v, err)
+func (g *gatedFlush) flush(batch []*op) {
+	select {
+	case g.started <- batch:
+		select {
+		case <-g.release:
+		case <-g.done:
+		}
+	case <-g.done:
 	}
-	if d := time.Since(start); d > 5*time.Second {
-		t.Fatalf("single op waited %v; MaxWait flush did not fire", d)
+	for _, o := range batch {
+		o.respond(o.req, nil)
+	}
+}
+
+// next returns the batch of the next flush to start.
+func (g *gatedFlush) next(t *testing.T) []*op {
+	t.Helper()
+	select {
+	case batch := <-g.started:
+		return batch
+	case <-time.After(10 * time.Second):
+		t.Fatal("no flush started")
+		return nil
+	}
+}
+
+// Group commit: a lone op is flushed by itself, with no timer and no
+// size threshold in the way, and ops submitted while that flush runs
+// all arrive together in the next batch.
+func TestBatcherGroupCommit(t *testing.T) {
+	g := &gatedFlush{started: make(chan []*op), release: make(chan struct{}), done: make(chan struct{})}
+	b := newBatcher(BatcherConfig{BatchSize: 1000, QueueDepth: 64, Registry: obs.NewRegistry()}, g.flush)
+	defer func() {
+		close(g.done)
+		b.Close()
+	}()
+
+	const queued = 8
+	results := make(chan error, 1+queued)
+	submit := func(v string) {
+		_, err := b.Submit(context.Background(), v)
+		results <- err
+	}
+	go submit("solo")
+	if batch := g.next(t); len(batch) != 1 || batch[0].req != "solo" {
+		t.Fatalf("first flush got %d ops, want the lone op", len(batch))
+	}
+
+	for i := 0; i < queued; i++ {
+		go submit("queued")
+	}
+	waitFor(t, "ops to queue behind the flush", func() bool { return len(b.queue) == queued })
+	g.release <- struct{}{}
+	if batch := g.next(t); len(batch) != queued {
+		t.Fatalf("second flush got %d ops, want all %d that queued during the first", len(batch), queued)
+	}
+	g.release <- struct{}{}
+	for i := 0; i < 1+queued; i++ {
+		if err := <-results; err != nil {
+			t.Fatalf("submit: %v", err)
+		}
 	}
 }
 
@@ -96,7 +164,7 @@ func TestBatcherQueueFull(t *testing.T) {
 	// flush blocks on <-e.block until the gate is closed, wedging the
 	// loop so the queue genuinely backs up.
 	e := &echoFlush{block: make(chan struct{})}
-	b := newBatcher(BatcherConfig{BatchSize: 1, MaxWait: time.Hour, QueueDepth: 2, Registry: obs.NewRegistry()}, e.flush)
+	b := newBatcher(BatcherConfig{BatchSize: 1, QueueDepth: 2, Registry: obs.NewRegistry()}, e.flush)
 
 	results := make(chan error, 3)
 	go func() {
@@ -130,34 +198,51 @@ func TestBatcherQueueFull(t *testing.T) {
 	b.Close()
 }
 
+// Ops accepted before Close are flushed before Close returns, even when
+// they are still queued behind a wedged flush as the drain begins.
 func TestBatcherDrainFlushesAccepted(t *testing.T) {
-	e := &echoFlush{delay: 10 * time.Millisecond}
-	b := newBatcher(BatcherConfig{BatchSize: 100, MaxWait: time.Hour, QueueDepth: 64, Registry: obs.NewRegistry()}, e.flush)
+	e := &echoFlush{block: make(chan struct{})}
+	b := newBatcher(BatcherConfig{BatchSize: 100, QueueDepth: 64, Registry: obs.NewRegistry()}, e.flush)
 
-	var wg sync.WaitGroup
-	var ok, drained atomic.Int64
-	for i := 0; i < 8; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			_, err := b.Submit(context.Background(), "v")
-			switch {
-			case err == nil:
-				ok.Add(1)
-			case errors.Is(err, ErrDraining):
-				drained.Add(1)
-			default:
-				t.Errorf("unexpected submit error: %v", err)
-			}
-		}()
+	const n = 8
+	results := make(chan error, n)
+	submit := func() {
+		_, err := b.Submit(context.Background(), "v")
+		results <- err
 	}
-	time.Sleep(20 * time.Millisecond) // let the submits enqueue
-	b.Close()
-	wg.Wait()
-	// MaxWait is an hour and BatchSize 100: only the drain sweep can have
-	// flushed these.
-	if ok.Load() == 0 {
-		t.Fatal("drain did not flush accepted operations")
+	go submit()
+	waitFor(t, "flush to wedge", func() bool { return e.entered.Load() == 1 })
+	for i := 1; i < n; i++ {
+		go submit()
+	}
+	waitFor(t, "ops to queue", func() bool { return len(b.queue) == n-1 })
+
+	closed := make(chan struct{})
+	go func() {
+		b.Close()
+		close(closed)
+	}()
+	waitFor(t, "drain to begin", func() bool {
+		select {
+		case <-b.draining:
+			return true
+		default:
+			return false
+		}
+	})
+	close(e.block)
+	<-closed
+	flushed := 0
+	for _, batch := range e.batches { // Close waited for the loop: no race
+		flushed += len(batch)
+	}
+	if flushed != n {
+		t.Fatalf("Close returned after flushing %d of %d accepted ops", flushed, n)
+	}
+	for i := 0; i < n; i++ {
+		if err := <-results; err != nil {
+			t.Fatalf("accepted submit failed: %v", err)
+		}
 	}
 	// After Close, new submits are refused outright.
 	if _, err := b.Submit(context.Background(), "late"); !errors.Is(err, ErrDraining) {
@@ -167,7 +252,7 @@ func TestBatcherDrainFlushesAccepted(t *testing.T) {
 
 func TestBatcherSubmitHonorsContext(t *testing.T) {
 	e := &echoFlush{block: make(chan struct{})}
-	b := newBatcher(BatcherConfig{BatchSize: 1, MaxWait: time.Hour, QueueDepth: 8, Registry: obs.NewRegistry()}, e.flush)
+	b := newBatcher(BatcherConfig{BatchSize: 1, QueueDepth: 8, Registry: obs.NewRegistry()}, e.flush)
 
 	// Wedge the flush goroutine so a second submit has to wait.
 	go b.Submit(context.Background(), "wedge")

@@ -56,9 +56,9 @@ type StatusError struct {
 	Status int
 	Body   string
 
-	// retryAfter carries the server's Retry-After through the retry
+	// serverDelay carries the server's Retry-After through the retry
 	// loop between attempts.
-	retryAfter time.Duration
+	serverDelay time.Duration
 }
 
 func (e *StatusError) Error() string {
@@ -107,7 +107,7 @@ func retryable(status int) bool {
 
 // backoff computes the sleep before attempt n (0-based): jittered
 // exponential, floored by the server's Retry-After when present.
-func (c *Client) backoff(attempt int, retryAfter time.Duration) time.Duration {
+func (c *Client) backoff(attempt int, serverDelay time.Duration) time.Duration {
 	d := c.cfg.BaseDelay << attempt
 	if d > c.cfg.MaxDelay || d <= 0 {
 		d = c.cfg.MaxDelay
@@ -117,8 +117,8 @@ func (c *Client) backoff(attempt int, retryAfter time.Duration) time.Duration {
 	c.mu.Lock()
 	jittered := d/2 + time.Duration(c.rng.Int63n(int64(d/2)+1))
 	c.mu.Unlock()
-	if retryAfter > jittered {
-		return retryAfter
+	if serverDelay > jittered {
+		return serverDelay
 	}
 	return jittered
 }
@@ -156,7 +156,7 @@ func (c *Client) Do(ctx context.Context, method, path string, body, out any) err
 			var ra time.Duration
 			var se *StatusError
 			if errors.As(lastErr, &se) {
-				ra = se.retryAfter
+				ra = se.serverDelay
 			}
 			select {
 			case <-time.After(c.backoff(attempt-1, ra)):
@@ -200,9 +200,9 @@ func (c *Client) Do(ctx context.Context, method, path string, body, out any) err
 			return nil
 		case retryable(resp.StatusCode):
 			lastErr = &StatusError{
-				Status:     resp.StatusCode,
-				Body:       string(data),
-				retryAfter: parseRetryAfter(resp.Header.Get("Retry-After")),
+				Status:      resp.StatusCode,
+				Body:        string(data),
+				serverDelay: parseRetryAfter(resp.Header.Get("Retry-After")),
 			}
 			continue
 		default:

@@ -114,6 +114,10 @@ func OpenJournal(path string) (j *Journal, records []Record, truncated bool, err
 			f.Close()
 			return nil, nil, false, fmt.Errorf("serve: sync journal header: %w", err)
 		}
+		if err := syncDir(filepath.Dir(path)); err != nil {
+			f.Close()
+			return nil, nil, false, fmt.Errorf("serve: %w", err)
+		}
 		return j, nil, false, nil
 	case !bytes.HasPrefix(data, journalHeader):
 		// Possibly a torn header write; only an exact prefix of the
@@ -265,10 +269,12 @@ func (j *Journal) Close() error {
 	return cerr
 }
 
-// Compact atomically rewrites the journal to contain only recs —
-// typically the rows of still-pending jobs at a clean drain, dropping
-// the classified history that replay no longer needs. The sequence
-// counter carries over so replayed and fresh records never collide.
+// Compact atomically rewrites the journal to contain only recs — the
+// remembered results plus the pending rows while the daemon runs, the
+// pending rows alone at a clean drain — dropping the history replay no
+// longer needs. The sequence counter carries over so replayed and fresh
+// records never collide. If the swap fails after the rename, the
+// journal is left closed.
 func (j *Journal) Compact(recs []Record) error {
 	j.mu.Lock()
 	defer j.mu.Unlock()
@@ -307,12 +313,36 @@ func (j *Journal) Compact(recs []Record) error {
 	if err := os.Rename(tmp.Name(), j.path); err != nil {
 		return fmt.Errorf("serve: compact rename: %w", err)
 	}
+	// From here the old handle points at an unlinked inode: appending
+	// to it would acknowledge rows no restart can see, so any failure
+	// closes the journal instead.
 	old := j.f
+	j.f = nil
+	old.Close()
+	// The rename is durable only once the directory entry is: without
+	// this fsync a power cut could bring back the old journal and lose
+	// every row acknowledged after the compaction.
+	if err := syncDir(filepath.Dir(j.path)); err != nil {
+		return fmt.Errorf("serve: compact: %w", err)
+	}
 	f, err := os.OpenFile(j.path, os.O_RDWR|os.O_APPEND, 0o644)
 	if err != nil {
 		return fmt.Errorf("serve: reopen compacted journal: %w", err)
 	}
-	old.Close()
 	j.f = f
 	return nil
+}
+
+// syncDir fsyncs a directory, making renames and creations in it
+// durable.
+func syncDir(dir string) error {
+	d, err := os.Open(dir)
+	if err != nil {
+		return fmt.Errorf("open journal dir: %w", err)
+	}
+	if err := d.Sync(); err != nil {
+		d.Close()
+		return fmt.Errorf("fsync journal dir: %w", err)
+	}
+	return d.Close()
 }

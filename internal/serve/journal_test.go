@@ -3,6 +3,7 @@ package serve
 import (
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 
 	"jobgraph/internal/trace"
@@ -243,4 +244,52 @@ func TestJournalCompact(t *testing.T) {
 	if len(got) != 3 || got[0].Job != "j2" || got[1].Op != OpDrain {
 		t.Fatalf("compacted content wrong: %+v", got)
 	}
+}
+
+// FuzzOpenJournal feeds arbitrary bytes behind a valid header: opening
+// must yield an error or records plus a truncation flag, never a panic,
+// and re-opening the repaired file must yield the same records, clean.
+func FuzzOpenJournal(f *testing.F) {
+	var whole []byte
+	for _, rec := range testRecords() {
+		frame, err := recordFrame(rec)
+		if err != nil {
+			f.Fatal(err)
+		}
+		whole = append(whole, frame...)
+	}
+	f.Add(whole)
+	f.Add(whole[:len(whole)-3])
+	f.Add([]byte{})
+	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 0, 0, 0, 0})
+	nullFrame, err := recordFrame(Record{})
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(append(nullFrame, "junk"...))
+
+	f.Fuzz(func(t *testing.T, body []byte) {
+		path := filepath.Join(t.TempDir(), "serve.journal")
+		if err := os.WriteFile(path, append(append([]byte{}, journalHeader...), body...), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		j, recs, _, err := OpenJournal(path)
+		if err != nil {
+			return
+		}
+		if err := j.Close(); err != nil {
+			t.Fatalf("close: %v", err)
+		}
+		j2, again, truncated, err := OpenJournal(path)
+		if err != nil {
+			t.Fatalf("reopen repaired journal: %v", err)
+		}
+		defer j2.Close()
+		if truncated {
+			t.Fatal("repaired journal still reports a damaged tail")
+		}
+		if !reflect.DeepEqual(recs, again) {
+			t.Fatalf("reopen yields %d records, first open %d", len(again), len(recs))
+		}
+	})
 }

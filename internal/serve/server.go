@@ -13,6 +13,10 @@
 //     journal at boot and classifies every accepted job exactly once.
 //   - Per-request deadlines propagate through context into assembly
 //     and classification.
+//   - Results are remembered in two generations of resultWindow; each
+//     time one fills, the journal is compacted online to the remembered
+//     results plus the pending rows, so memory, journal size and boot
+//     replay stay bounded.
 //   - Drain stops admission, flushes in-flight batches, compacts the
 //     journal to the still-pending rows, and exits cleanly.
 //   - The batcher loop and classify pool carry obs heartbeats, so the
@@ -25,7 +29,6 @@ import (
 	"errors"
 	"fmt"
 	"log/slog"
-	"math"
 	"net/http"
 	"runtime"
 	"sort"
@@ -133,9 +136,14 @@ type Server struct {
 
 	// pending is owned by the flush goroutine after boot.
 	pending map[string]*pendingJob
-	// classified remembers journaled results so a crash-replay never
-	// classifies a job twice. Bounded by journal compaction at drain.
-	classified map[string]Result
+	// classified and prevClassified are the current and previous
+	// generations of journaled results (see remember), so a re-complete
+	// of a recent job returns its recorded result. Owned like pending.
+	classified     map[string]Result
+	prevClassified map[string]Result
+	// compactDue is set when a result generation fills; the flush that
+	// set it compacts the journal down to what memory still holds.
+	compactDue bool
 
 	replayed        []Result
 	replayedRecords int64
@@ -271,7 +279,7 @@ func (s *Server) replay(records []Record) error {
 				oj.complete = true
 			}
 		case OpResult:
-			s.classified[rec.Job] = Result{Job: rec.Job, Group: rec.Group, Score: rec.Score}
+			s.remember(Result{Job: rec.Job, Group: rec.Group, Score: rec.Score})
 			delete(jobs, rec.Job)
 		}
 	}
@@ -296,7 +304,7 @@ func (s *Server) replay(records []Record) error {
 		if err := s.journalResult(res); err != nil {
 			return err
 		}
-		s.classified[name] = res
+		s.remember(res)
 		s.replayed = append(s.replayed, res)
 		s.cReplayCls.Add(1)
 		s.lg.Info("replay: classified in-flight job", "job", name, "group", res.Group)
@@ -485,7 +493,7 @@ func (s *Server) flush(batch []*op) {
 			s.cAccepted.Add(int64(len(rows)))
 			classifies = append(classifies, &classifyItem{o: o, name: req.name, rows: rows})
 		case completeOp:
-			if res, ok := s.classified[req.job]; ok {
+			if res, ok := s.result(req.job); ok {
 				// Idempotent completion: already classified (possibly by
 				// a pre-crash process) — return the recorded result.
 				o.respond(res, nil)
@@ -558,12 +566,93 @@ func (s *Server) flush(batch []*op) {
 			case syncErr != nil:
 				it.o.respond(nil, fmt.Errorf("serve: journal: %w", syncErr))
 			default:
-				s.classified[it.name] = it.res
+				s.remember(it.res)
 				s.cClassified.Add(1)
 				it.o.respond(it.res, nil)
 			}
 		}
 	}
+	if s.compactDue {
+		s.compactDue = false
+		s.compactOnline()
+	}
+}
+
+// resultWindow is the size of one result generation. The daemon keeps
+// two, so it remembers at least the newest resultWindow results and at
+// most twice that, however long it runs.
+const resultWindow = 512
+
+// remember records a journaled result. A full current generation
+// becomes the previous one (dropping the older) and the journal is
+// marked for compaction, which keeps the heap, the journal and boot
+// replay bounded by the window rather than by uptime.
+func (s *Server) remember(res Result) {
+	if len(s.classified) >= resultWindow {
+		// make, not clear: a fresh map lets the old buckets be freed.
+		s.prevClassified, s.classified = s.classified, make(map[string]Result, resultWindow)
+		s.compactDue = true
+	}
+	s.classified[res.Job] = res
+}
+
+// result looks a job up in both result generations, newest first.
+func (s *Server) result(job string) (Result, bool) {
+	if res, ok := s.classified[job]; ok {
+		return res, true
+	}
+	res, ok := s.prevClassified[job]
+	return res, ok
+}
+
+// compactOnline rewrites the journal to the results both generations
+// hold followed by the rows of every pending job: exactly the state a
+// restart must rebuild. Results go first so a job name that was
+// classified and then received fresh rows replays as pending again.
+// Runs on the flush goroutine between batches, when nothing is in the
+// crash window. A failure is logged: the old journal (a superset) stays
+// in place, or, if the swap itself failed, the journal is closed and
+// later batches fail loudly instead of losing acknowledged rows.
+func (s *Server) compactOnline() {
+	if s.journal == nil {
+		return
+	}
+	recs := make([]Record, 0, len(s.prevClassified)+len(s.classified))
+	for _, gen := range []map[string]Result{s.prevClassified, s.classified} {
+		for _, name := range sortedNames(gen) {
+			res := gen[name]
+			recs = append(recs, Record{
+				Op: OpResult, Seq: s.journal.NextSeq(), Job: name,
+				Group: res.Group, Score: res.Score,
+			})
+		}
+	}
+	if err := s.journal.Compact(s.pendingRecords(recs)); err != nil {
+		s.lg.Error("online journal compaction failed", "err", err)
+	}
+}
+
+// pendingRecords appends the journaled rows of every pending job, in
+// job-name order, to recs.
+func (s *Server) pendingRecords(recs []Record) []Record {
+	for _, name := range sortedNames(s.pending) {
+		for i := range s.pending[name].rows {
+			r := s.pending[name].rows[i]
+			recs = append(recs, Record{Op: OpRow, Seq: s.journal.NextSeq(), Job: name, Row: &r})
+		}
+	}
+	return recs
+}
+
+// sortedNames returns m's keys in ascending order, so compacted
+// journals are byte-for-byte reproducible.
+func sortedNames[V any](m map[string]V) []string {
+	names := make([]string, 0, len(m))
+	for name := range m {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	return names
 }
 
 // conflateGraph mirrors the training pipeline's node conflation so a
@@ -614,24 +703,13 @@ func (s *Server) Drain() error {
 		return nil
 	}
 	// The flush goroutine has exited; pending is ours again.
-	var recs []Record
-	names := make([]string, 0, len(s.pending))
-	for name := range s.pending {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	for _, name := range names {
-		for i := range s.pending[name].rows {
-			r := s.pending[name].rows[i]
-			recs = append(recs, Record{Op: OpRow, Seq: s.journal.NextSeq(), Job: name, Row: &r})
-		}
-	}
+	recs := s.pendingRecords(nil)
 	recs = append(recs, Record{Op: OpDrain, Seq: s.journal.NextSeq()})
 	if err := s.journal.Compact(recs); err != nil {
 		s.journal.Close()
 		return err
 	}
-	s.lg.Info("journal compacted at drain", "pending_jobs", len(names))
+	s.lg.Info("journal compacted at drain", "pending_jobs", len(s.pending))
 	return s.journal.Close()
 }
 
@@ -712,7 +790,9 @@ func (s *Server) submit(w http.ResponseWriter, r *http.Request, req any) (any, b
 		return v, false
 	case errors.Is(err, ErrQueueFull):
 		s.cRejected.Add(1)
-		w.Header().Set("Retry-After", retryAfter(s.batcher.MaxWait()))
+		// The queue frees up within one flush; a second is the smallest
+		// Retry-After HTTP can say.
+		w.Header().Set("Retry-After", "1")
 		http.Error(w, "admission queue full", http.StatusTooManyRequests)
 	case errors.Is(err, ErrDraining):
 		w.Header().Set("Retry-After", "1")
@@ -725,17 +805,6 @@ func (s *Server) submit(w http.ResponseWriter, r *http.Request, req any) (any, b
 		http.Error(w, err.Error(), http.StatusInternalServerError)
 	}
 	return nil, true
-}
-
-// retryAfter renders a Retry-After value (whole seconds, minimum 1) a
-// client should back off by when the queue is full: one max-wait flush
-// interval is when capacity reappears.
-func retryAfter(maxWait time.Duration) string {
-	secs := int64(math.Ceil(maxWait.Seconds()))
-	if secs < 1 {
-		secs = 1
-	}
-	return strconv.FormatInt(secs, 10)
 }
 
 func (s *Server) handleRows(w http.ResponseWriter, r *http.Request) {

@@ -74,7 +74,7 @@ func testModel(t *testing.T) (*core.Model, []trace.Job) {
 	return trainedM, trainJobs
 }
 
-// newTestServer builds a server on a fresh registry with fast batching.
+// newTestServer builds a server on a fresh registry with small batches.
 func newTestServer(t *testing.T, mutate func(*Config)) (*Server, *httptest.Server) {
 	t.Helper()
 	m, _ := testModel(t)
@@ -82,7 +82,7 @@ func newTestServer(t *testing.T, mutate func(*Config)) (*Server, *httptest.Serve
 		Model:       m,
 		JournalPath: filepath.Join(t.TempDir(), "serve.journal"),
 		Registry:    obs.NewRegistry(),
-		Batch:       BatcherConfig{BatchSize: 8, MaxWait: 5 * time.Millisecond},
+		Batch:       BatcherConfig{BatchSize: 8},
 	}
 	if mutate != nil {
 		mutate(&cfg)
@@ -215,13 +215,13 @@ func TestServerBadRequests(t *testing.T) {
 	}
 }
 
-// Saturating the admission queue must yield 429 + Retry-After, and a
-// client that honors it must eventually land every request.
+// Saturating the admission queue must yield 429 + Retry-After: 1, and a
+// client that retries must eventually land every request.
 func TestServerBackpressure429(t *testing.T) {
 	s, ts := newTestServer(t, func(c *Config) {
 		// BatchSize 1 serializes flushes (each one classifies), QueueDepth
 		// 2 makes the queue trivially saturable by 24 concurrent posts.
-		c.Batch = BatcherConfig{BatchSize: 1, MaxWait: time.Millisecond, QueueDepth: 2}
+		c.Batch = BatcherConfig{BatchSize: 1, QueueDepth: 2}
 	})
 	// On a fast machine the admission loop can classify a tiny job
 	// quicker than the HTTP stack delivers the next post, so the queue
@@ -261,8 +261,8 @@ func TestServerBackpressure429(t *testing.T) {
 					mu.Unlock()
 					return
 				case http.StatusTooManyRequests:
-					if resp.Header.Get("Retry-After") == "" {
-						t.Error("429 without Retry-After")
+					if ra := resp.Header.Get("Retry-After"); ra != "1" {
+						t.Errorf("429 with Retry-After %q, want 1", ra)
 						return
 					}
 					mu.Lock()
@@ -301,7 +301,7 @@ func TestServerDrainAndReplay(t *testing.T) {
 		Model:       m,
 		JournalPath: jpath,
 		Registry:    obs.NewRegistry(),
-		Batch:       BatcherConfig{BatchSize: 8, MaxWait: 5 * time.Millisecond},
+		Batch:       BatcherConfig{BatchSize: 8},
 	}
 	s1, err := New(cfg)
 	if err != nil {
@@ -567,5 +567,148 @@ func TestServerWorkersHeartbeatIdleBetweenBatches(t *testing.T) {
 			t.Fatalf("serve.workers heartbeat not idle after the flush: %+v", st)
 		}
 		time.Sleep(5 * time.Millisecond)
+	}
+}
+
+// A long-running daemon remembers a bounded window of results: past
+// 3×resultWindow jobs the two generations never hold more than
+// 2×resultWindow, the newest resultWindow re-complete idempotently, and
+// after a stop without drain the compacted journal replays to the same
+// knowledge without classifying anything twice.
+func TestServerResultWindowBounded(t *testing.T) {
+	m, jobs := testModel(t)
+	cfg := Config{
+		Model:       m,
+		JournalPath: filepath.Join(t.TempDir(), "serve.journal"),
+		Registry:    obs.NewRegistry(),
+		Batch:       BatcherConfig{BatchSize: 8},
+	}
+	s, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Sample the maps after every flush, on the flush goroutine itself.
+	maxHeld := 0 // read only after the batcher has stopped
+	inner := s.batcher
+	s.batcher = newBatcher(inner.cfg, func(ops []*op) {
+		s.flush(ops)
+		if n := len(s.classified) + len(s.prevClassified); n > maxHeld {
+			maxHeld = n
+		}
+	})
+	inner.Close()
+	ts := httptest.NewServer(s.Handler())
+
+	const total = 3*resultWindow + resultWindow/2
+	name := func(i int) string { return fmt.Sprintf("win-%05d", i) }
+	post := func(i int) Result {
+		body, _ := json.Marshal(jobRequest{Name: name(i), Tasks: jobs[i%len(jobs)].Tasks})
+		resp, err := http.Post(ts.URL+"/v1/jobs", "application/json", bytes.NewReader(body))
+		if err != nil {
+			t.Errorf("post %s: %v", name(i), err)
+			return Result{}
+		}
+		defer resp.Body.Close()
+		var res Result
+		if resp.StatusCode != http.StatusOK || json.NewDecoder(resp.Body).Decode(&res) != nil {
+			t.Errorf("post %s: status %d", name(i), resp.StatusCode)
+		}
+		return res
+	}
+	// The bulk goes in concurrently; the newest resultWindow jobs go in
+	// one at a time so their classification order is known.
+	bulk := total - resultWindow
+	next := make(chan int)
+	var wg sync.WaitGroup
+	for c := 0; c < 8; c++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := range next {
+				post(i)
+			}
+		}()
+	}
+	for i := 0; i < bulk; i++ {
+		next <- i
+	}
+	close(next)
+	wg.Wait()
+	newest := make(map[string]Result, resultWindow)
+	for i := bulk; i < total; i++ {
+		newest[name(i)] = post(i)
+	}
+	if t.Failed() {
+		t.FailNow()
+	}
+
+	recomplete := func(url string, i int) Result {
+		t.Helper()
+		resp, body := postJSON(t, url+"/v1/complete", completeRequest{Job: name(i)})
+		var res Result
+		if resp.StatusCode != http.StatusOK || json.Unmarshal(body, &res) != nil {
+			t.Fatalf("re-complete %s: %d %s", name(i), resp.StatusCode, body)
+		}
+		return res
+	}
+	probes := []int{bulk, bulk + 1, bulk + resultWindow/2, total - 1}
+	for _, i := range probes {
+		if got, want := recomplete(ts.URL, i), newest[name(i)]; got != want {
+			t.Fatalf("re-complete %s = %+v, want recorded %+v", name(i), got, want)
+		}
+	}
+	if got := s.Stats().Classified; got != total {
+		t.Fatalf("classified %d jobs, want %d", got, total)
+	}
+
+	// Stop without Drain: the journal is left as online compaction and
+	// appends made it, as after a kill -9.
+	ts.Close()
+	s.batcher.Close()
+	if maxHeld > 2*resultWindow {
+		t.Fatalf("result maps held %d entries, bound is %d", maxHeld, 2*resultWindow)
+	}
+	if maxHeld < resultWindow {
+		t.Fatalf("result maps peaked at %d entries; the window never filled", maxHeld)
+	}
+	if err := s.journal.Close(); err != nil {
+		t.Fatal(err)
+	}
+	j, recs, _, err := OpenJournal(cfg.JournalPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	j.Close()
+	results := 0
+	for _, r := range recs {
+		if r.Op == OpResult {
+			results++
+		}
+	}
+	if results > 3*resultWindow {
+		t.Fatalf("journal holds %d results after %d jobs; online compaction did not bound it", results, total)
+	}
+
+	cfg.Registry = obs.NewRegistry()
+	s2, err := New(cfg)
+	if err != nil {
+		t.Fatalf("reopen: %v", err)
+	}
+	ts2 := httptest.NewServer(s2.Handler())
+	defer ts2.Close()
+	if st := s2.Stats(); len(s2.Replayed()) != 0 || st.ReplayClassify != 0 || st.Pending != 0 {
+		t.Fatalf("replay classified %d jobs (%+v), want none", len(s2.Replayed()), st)
+	}
+	for _, i := range probes {
+		got, want := recomplete(ts2.URL, i), newest[name(i)]
+		if got.Group != want.Group || got.Score != want.Score {
+			t.Fatalf("after restart re-complete %s = %s/%v, want %s/%v", name(i), got.Group, got.Score, want.Group, want.Score)
+		}
+	}
+	if err := s2.Drain(); err != nil {
+		t.Fatal(err)
+	}
+	if n := len(s2.classified) + len(s2.prevClassified); n > 2*resultWindow {
+		t.Fatalf("replayed result maps hold %d entries, bound is %d", n, 2*resultWindow)
 	}
 }
