@@ -27,6 +27,7 @@ fuzz:
 	$(GO) test -fuzz=FuzzLoadModel -fuzztime=30s ./internal/core/
 	$(GO) test -fuzz=FuzzLoadANNIndex -fuzztime=30s ./internal/wl/
 	$(GO) test -fuzz=FuzzOpenJournal -fuzztime=30s ./internal/serve/
+	$(GO) test -fuzz=FuzzGraphGobDecode -fuzztime=30s ./internal/dag/
 
 reproduce:
 	$(GO) run ./cmd/reproduce -gen 20000 -seed 1 -out results/

@@ -447,15 +447,21 @@ func BenchmarkANNQuery(b *testing.B) {
 // spectral beyond the 100-job reference scale.
 func BenchmarkSketchCluster(b *testing.B) {
 	rng := rand.New(rand.NewSource(11))
-	pts := make([]map[int]float64, 20_000)
+	pts := make([]wl.CompactVector, 20_000)
 	for i := range pts {
 		base := (i % 5) * 40
-		v := make(map[int]float64, 12)
+		v := make(map[int32]float64, 12)
 		for j := 0; j < 10; j++ {
-			v[base+rng.Intn(40)] = float64(1 + rng.Intn(3))
+			v[int32(base+rng.Intn(40))] = float64(1 + rng.Intn(3))
 		}
-		v[200+rng.Intn(1<<16)] = 1
-		pts[i] = v
+		v[int32(200+rng.Intn(1<<16))] = 1
+		for k := range v {
+			pts[i].Keys = append(pts[i].Keys, k)
+		}
+		slices.Sort(pts[i].Keys)
+		for _, k := range pts[i].Keys {
+			pts[i].Vals = append(pts[i].Vals, v[k])
+		}
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

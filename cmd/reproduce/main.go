@@ -28,6 +28,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"time"
@@ -39,6 +40,7 @@ import (
 	"jobgraph/internal/dag"
 	"jobgraph/internal/features"
 	"jobgraph/internal/ged"
+	"jobgraph/internal/linalg"
 	"jobgraph/internal/pattern"
 	"jobgraph/internal/report"
 	"jobgraph/internal/resource"
@@ -232,7 +234,7 @@ func runE6(an *core.Analysis) {
 
 func runE7(an *core.Analysis, outDir string) {
 	fmt.Println("== E7 (Fig 7): WL similarity map ==")
-	n := an.Similarity.Rows
+	n := an.Similarity.N
 	var sum float64
 	exactOnes := 0
 	for i := 0; i < n; i++ {
@@ -288,16 +290,7 @@ func runA1(an *core.Analysis) {
 	for h := 0; h <= 4; h++ {
 		m, err := wl.KernelMatrix(graphs, wl.Options{Iterations: h, UseTypeLabels: true}, 0)
 		must(err)
-		var diff, cnt float64
-		for i := range m.Data {
-			d := m.Data[i] - ref.Data[i]
-			if d < 0 {
-				d = -d
-			}
-			diff += d
-			cnt++
-		}
-		fmt.Printf("h=%d: mean |sim - sim_h5| = %.4f\n", h, diff/cnt)
+		fmt.Printf("h=%d: mean |sim - sim_h5| = %.4f\n", h, meanAbsDiff(m, ref))
 	}
 	fmt.Println("expected: differences shrink as h grows (refinement converges)")
 	fmt.Println()
@@ -452,16 +445,7 @@ func runA6(an *core.Analysis) {
 	must(err)
 	sp, err := wl.KernelMatrix(an.Graphs, wl.Options{Iterations: 3, UseTypeLabels: true, Base: wl.BaseShortestPath}, 0)
 	must(err)
-	var diff, cnt float64
-	for i := range sub.Data {
-		d := sub.Data[i] - sp.Data[i]
-		if d < 0 {
-			d = -d
-		}
-		diff += d
-		cnt++
-	}
-	fmt.Printf("mean |subtree - shortest-path| similarity: %.4f\n", diff/cnt)
+	fmt.Printf("mean |subtree - shortest-path| similarity: %.4f\n", meanAbsDiff(sub, sp))
 
 	// Do both bases induce the same clustering?
 	ka, err := cluster.Spectral(sub, cluster.SpectralOptions{K: 5, KMeans: cluster.KMeansOptions{Seed: 1}})
@@ -500,24 +484,26 @@ func runA8(an *core.Analysis) {
 		must(err)
 		hashed, err := wl.HashedFeatures(an.Graphs, opt, buckets, 0)
 		must(err)
-		sym, err := wl.SymMatrixFromCompactOpts(hashed, wl.MatrixOptions{})
+		hm, err := wl.SymMatrixFromCompactOpts(hashed, wl.MatrixOptions{})
 		must(err)
-		hm := sym.Dense()
-		var diff, cnt float64
-		for i := range hm.Data {
-			d := hm.Data[i] - an.Similarity.Data[i]
-			if d < 0 {
-				d = -d
-			}
-			diff += d
-			cnt++
-		}
 		fmt.Printf("buckets=2^%-2d label collision rate %.4f, mean |sim diff| %.5f\n",
-			log2(buckets), rate, diff/cnt)
+			log2(buckets), rate, meanAbsDiff(hm, an.Similarity))
 	}
 	fmt.Println("expected: distortion vanishes as the bucket space grows; hashing")
 	fmt.Println("          removes the shared dictionary so embedding parallelizes")
 	fmt.Println()
+}
+
+// meanAbsDiff is the mean |a(i,j) − b(i,j)| over all n² cells, summed
+// in row-major order.
+func meanAbsDiff(a, b *linalg.SymMatrix) float64 {
+	var diff float64
+	for i := 0; i < a.N; i++ {
+		for j := 0; j < a.N; j++ {
+			diff += math.Abs(a.At(i, j) - b.At(i, j))
+		}
+	}
+	return diff / float64(a.N*a.N)
 }
 
 func log2(n int) int {

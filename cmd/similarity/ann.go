@@ -223,14 +223,7 @@ func annRecallCheck(af *annFlags, an *core.Analysis, cfg core.Config, rep *gateR
 	// Cluster agreement: sketch-space clusterings vs the exact spectral
 	// labels. Informational — ARI/NMI between different algorithms is
 	// structurally noisy at n=100, so the gate asserts recall, not this.
-	pts := make([]map[int]float64, len(an.HashedVectors))
-	for i, v := range an.HashedVectors {
-		pts[i] = make(map[int]float64, len(v.Keys))
-		for j, k := range v.Keys {
-			pts[i][int(k)] = v.Vals[j]
-		}
-	}
-	mb, err := cluster.MiniBatchKMeans(pts, cluster.MiniBatchKMeansOptions{K: cfg.Groups, Seed: cfg.Seed})
+	mb, err := cluster.MiniBatchKMeans(an.HashedVectors, cluster.MiniBatchKMeansOptions{K: cfg.Groups, Seed: cfg.Seed})
 	if err != nil {
 		return err
 	}
@@ -242,7 +235,7 @@ func annRecallCheck(af *annFlags, an *core.Analysis, cfg core.Config, rep *gateR
 	if err != nil {
 		return err
 	}
-	km, err := cluster.SketchKMedoids(pts, an.ANNIndex.CandidateNeighbors(32),
+	km, err := cluster.SketchKMedoids(an.HashedVectors, an.ANNIndex.CandidateNeighbors(32),
 		cluster.SketchKMedoidsOptions{K: cfg.Groups, Seed: cfg.Seed})
 	if err != nil {
 		return err

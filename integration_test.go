@@ -194,7 +194,7 @@ func TestScaleThousandJobKernel(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(an.Sample) != 1000 || an.Similarity.Rows != 1000 {
+	if len(an.Sample) != 1000 || an.Similarity.N != 1000 {
 		t.Fatalf("scale run: %d sampled", len(an.Sample))
 	}
 	if len(an.Groups) != 5 {

@@ -509,19 +509,31 @@ func newRunID() string {
 	return hex.EncodeToString(b[:])
 }
 
+// obsFlagNames is the set of flags RegisterObsFlagsOn registers, read
+// off a throwaway registration so it can never drift from the flags
+// themselves.
+var obsFlagNames = func() map[string]bool {
+	fs := flag.NewFlagSet("obs", flag.ContinueOnError)
+	RegisterObsFlagsOn(fs)
+	names := map[string]bool{}
+	fs.VisitAll(func(f *flag.Flag) { names[f.Name] = true })
+	return names
+}()
+
 // configHash fingerprints the effective flag configuration — every
 // flag's value, defaults included — so runs are comparable exactly
-// when their configuration matches. Flags that only name where a run
-// writes its artifacts are left out: they do not change the workload.
-// Call after flag.Parse.
+// when their configuration matches. Flags that do not change the
+// workload are left out: every observability flag (logging, debug
+// endpoint, trace/ledger/profile/flight outputs, watchdog) and -out,
+// which only names where a run writes its artifacts. Call after
+// flag.Parse.
 func configHash(fs *flag.FlagSet) string {
 	if fs == nil {
 		return ""
 	}
 	h := fnv.New64a()
 	fs.VisitAll(func(f *flag.Flag) {
-		switch f.Name {
-		case "out", "ledger", "trace-out", "profile-dir", "flight-dir":
+		if f.Name == "out" || obsFlagNames[f.Name] {
 			return
 		}
 		fmt.Fprintf(h, "%s=%s\n", f.Name, f.Value.String())

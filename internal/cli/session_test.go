@@ -302,21 +302,24 @@ func TestConfigHashSkipsOutputPaths(t *testing.T) {
 	base := mk()
 	for _, tc := range []struct {
 		flag string
+		val  string
 		same bool
 	}{
-		{"out", true},
-		{"ledger", true},
-		{"trace-out", true},
-		{"profile-dir", true},
-		{"flight-dir", true},
-		{"gen", false},
+		{"out", "/elsewhere/x", true},
+		{"ledger", "/elsewhere/x", true},
+		{"trace-out", "/elsewhere/x", true},
+		{"profile-dir", "/elsewhere/x", true},
+		{"flight-dir", "/elsewhere/x", true},
+		{"v", "true", true},
+		{"log-json", "true", true},
+		{"debug-addr", "localhost:6060", true},
+		{"watchdog", "2s", true},
+		{"watchdog-cancel", "true", true},
+		{"watchdog-exit", "true", true},
+		{"gen", "501", false},
 	} {
-		val := "/elsewhere/x"
-		if tc.flag == "gen" {
-			val = "501"
-		}
-		if got := mk("-"+tc.flag, val); (got == base) != tc.same {
-			t.Errorf("-%s %s: hash %s vs default %s, want same=%v", tc.flag, val, got, base, tc.same)
+		if got := mk("-" + tc.flag + "=" + tc.val); (got == base) != tc.same {
+			t.Errorf("-%s=%s: hash %s vs default %s, want same=%v", tc.flag, tc.val, got, base, tc.same)
 		}
 	}
 }

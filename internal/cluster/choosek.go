@@ -12,39 +12,16 @@ import (
 // affinity and return the k in [minK, maxK] after which the largest
 // relative drop in eigenvalue occurs. The paper fixes k=5 by
 // inspection; this automates the same inspection for new traces.
-func ChooseK(affinity *linalg.Matrix, minK, maxK int) (int, error) {
-	n := affinity.Rows
-	if affinity.Cols != n {
-		return 0, fmt.Errorf("cluster: affinity must be square")
-	}
+func ChooseK(affinity *linalg.SymMatrix, minK, maxK int) (int, error) {
+	n := affinity.N
 	if minK < 1 || maxK < minK || maxK >= n {
 		return 0, fmt.Errorf("cluster: bad K range [%d,%d] for n=%d", minK, maxK, n)
 	}
-	if !affinity.IsSymmetric(1e-9) {
-		return 0, fmt.Errorf("cluster: affinity matrix is not symmetric")
-	}
-
-	// Same normalization as Spectral.
-	l := affinity.Clone()
-	dinv := make([]float64, n)
-	for i := 0; i < n; i++ {
-		var deg float64
-		for j := 0; j < n; j++ {
-			deg += affinity.At(i, j)
-		}
-		if deg > 0 {
-			dinv[i] = 1 / math.Sqrt(deg)
-		}
-	}
-	for i := 0; i < n; i++ {
-		for j := 0; j < n; j++ {
-			l.Set(i, j, affinity.At(i, j)*dinv[i]*dinv[j])
-		}
-	}
-	eig, err := linalg.SymmetricEigen(l, 0)
+	l, err := normalizedAffinity(affinity)
 	if err != nil {
-		return 0, fmt.Errorf("cluster: %w", err)
+		return 0, err
 	}
+	eig := linalg.SymmetricEigen(l, 0)
 
 	bestK, bestGap := minK, math.Inf(-1)
 	for k := minK; k <= maxK; k++ {

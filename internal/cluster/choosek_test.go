@@ -1,10 +1,6 @@
 package cluster
 
-import (
-	"testing"
-
-	"jobgraph/internal/linalg"
-)
+import "testing"
 
 func TestChooseKRecoversBlockCount(t *testing.T) {
 	for _, blocks := range [][]int{
@@ -34,13 +30,10 @@ func TestChooseKValidation(t *testing.T) {
 	if _, err := ChooseK(aff, 2, 10); err == nil {
 		t.Fatal("maxK>=n accepted")
 	}
-	if _, err := ChooseK(linalg.NewMatrix(3, 4), 1, 2); err == nil {
-		t.Fatal("non-square accepted")
-	}
-	asym := linalg.NewMatrix(4, 4)
-	asym.Set(0, 1, 1)
-	if _, err := ChooseK(asym, 1, 2); err == nil {
-		t.Fatal("asymmetric accepted")
+	neg, _ := blockAffinity([]int{2, 2}, 0.5, 0.1)
+	neg.Set(0, 1, -0.5)
+	if _, err := ChooseK(neg, 1, 2); err == nil {
+		t.Fatal("negative affinity accepted")
 	}
 }
 

@@ -80,9 +80,9 @@ func TestKMeansHappyPathUnchangedByReseedLogic(t *testing.T) {
 func TestSpectralCleanRunNoWarnings(t *testing.T) {
 	// Two clean affinity blocks: no degradation, so no warnings.
 	n := 10
-	a := linalg.NewMatrix(n, n)
+	a := linalg.NewSymMatrix(n)
 	for i := 0; i < n; i++ {
-		for j := 0; j < n; j++ {
+		for j := i; j < n; j++ {
 			if (i < n/2) == (j < n/2) {
 				a.Set(i, j, 1)
 			} else {

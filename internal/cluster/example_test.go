@@ -9,9 +9,9 @@ import (
 
 func ExampleSpectral() {
 	// A block-diagonal affinity: two tight groups of three items.
-	aff := linalg.NewMatrix(6, 6)
+	aff := linalg.NewSymMatrix(6)
 	for i := 0; i < 6; i++ {
-		for j := 0; j < 6; j++ {
+		for j := i; j < 6; j++ {
 			switch {
 			case i == j:
 				aff.Set(i, j, 1)

@@ -54,11 +54,8 @@ type HierarchicalResult struct {
 // comparator alongside spectral clustering (paper) and feature-space
 // k-means (prior work [14]). The Lance–Williams recurrence updates
 // distances in O(n²) per merge; fine for paper-scale samples.
-func Hierarchical(dist *linalg.Matrix, k int, linkage Linkage) (*HierarchicalResult, error) {
-	n := dist.Rows
-	if dist.Cols != n {
-		return nil, fmt.Errorf("cluster: distance matrix must be square")
-	}
+func Hierarchical(dist *linalg.SymMatrix, k int, linkage Linkage) (*HierarchicalResult, error) {
+	n := dist.N
 	if k < 1 || k > n {
 		return nil, fmt.Errorf("cluster: k=%d out of range [1,%d]", k, n)
 	}
@@ -67,15 +64,8 @@ func Hierarchical(dist *linalg.Matrix, k int, linkage Linkage) (*HierarchicalRes
 	default:
 		return nil, fmt.Errorf("cluster: unknown linkage %d", int(linkage))
 	}
-	if !dist.IsSymmetric(1e-9) {
-		return nil, fmt.Errorf("cluster: distance matrix is not symmetric")
-	}
-	for i := 0; i < n; i++ {
-		for j := 0; j < n; j++ {
-			if dist.At(i, j) < 0 {
-				return nil, fmt.Errorf("cluster: negative distance at (%d,%d)", i, j)
-			}
-		}
+	if err := checkDistances(dist); err != nil {
+		return nil, err
 	}
 
 	// active cluster id -> member count; d holds current inter-cluster

@@ -9,11 +9,11 @@ import (
 )
 
 // distFromPoints builds a Euclidean distance matrix.
-func distFromPoints(pts [][]float64) *linalg.Matrix {
+func distFromPoints(pts [][]float64) *linalg.SymMatrix {
 	n := len(pts)
-	m := linalg.NewMatrix(n, n)
+	m := linalg.NewSymMatrix(n)
 	for i := 0; i < n; i++ {
-		for j := 0; j < n; j++ {
+		for j := i; j < n; j++ {
 			d, _ := linalg.Dist2(pts[i], pts[j])
 			m.Set(i, j, d)
 		}
@@ -96,19 +96,10 @@ func TestHierarchicalValidation(t *testing.T) {
 	if _, err := Hierarchical(dist, 2, Linkage(9)); err == nil {
 		t.Fatal("unknown linkage accepted")
 	}
-	if _, err := Hierarchical(linalg.NewMatrix(2, 3), 1, AverageLinkage); err == nil {
-		t.Fatal("non-square accepted")
-	}
-	neg := linalg.NewMatrix(2, 2)
+	neg := linalg.NewSymMatrix(2)
 	neg.Set(0, 1, -1)
-	neg.Set(1, 0, -1)
 	if _, err := Hierarchical(neg, 1, AverageLinkage); err == nil {
 		t.Fatal("negative distance accepted")
-	}
-	asym := linalg.NewMatrix(2, 2)
-	asym.Set(0, 1, 1)
-	if _, err := Hierarchical(asym, 1, AverageLinkage); err == nil {
-		t.Fatal("asymmetric accepted")
 	}
 }
 

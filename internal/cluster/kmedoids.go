@@ -38,23 +38,13 @@ type KMedoidsResult struct {
 // member. Unlike spectral clustering it needs no eigendecomposition and
 // its centers are actual jobs — the exemplars of Figure 8 fall out for
 // free — at the cost of a weaker global objective.
-func KMedoids(dist *linalg.Matrix, opt KMedoidsOptions) (*KMedoidsResult, error) {
-	n := dist.Rows
-	if dist.Cols != n {
-		return nil, fmt.Errorf("cluster: distance matrix must be square")
-	}
+func KMedoids(dist *linalg.SymMatrix, opt KMedoidsOptions) (*KMedoidsResult, error) {
+	n := dist.N
 	if opt.K < 1 || opt.K > n {
 		return nil, fmt.Errorf("cluster: k=%d out of range [1,%d]", opt.K, n)
 	}
-	if !dist.IsSymmetric(1e-9) {
-		return nil, fmt.Errorf("cluster: distance matrix is not symmetric")
-	}
-	for i := 0; i < n; i++ {
-		for j := 0; j < n; j++ {
-			if dist.At(i, j) < 0 {
-				return nil, fmt.Errorf("cluster: negative distance at (%d,%d)", i, j)
-			}
-		}
+	if err := checkDistances(dist); err != nil {
+		return nil, err
 	}
 	opt.defaults()
 	rng := rand.New(rand.NewSource(opt.Seed))
@@ -69,8 +59,8 @@ func KMedoids(dist *linalg.Matrix, opt KMedoidsOptions) (*KMedoidsResult, error)
 	return best, nil
 }
 
-func pamOnce(dist *linalg.Matrix, k, maxIter int, rng *rand.Rand) *KMedoidsResult {
-	n := dist.Rows
+func pamOnce(dist *linalg.SymMatrix, k, maxIter int, rng *rand.Rand) *KMedoidsResult {
+	n := dist.N
 	// Greedy D²-style seeding: first medoid random, then farthest-from-
 	// current-medoids points (deterministic given the RNG).
 	medoids := make([]int, 0, k)

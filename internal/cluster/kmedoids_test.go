@@ -48,26 +48,17 @@ func TestKMedoidsMedoidsAreClusterMembers(t *testing.T) {
 }
 
 func TestKMedoidsValidation(t *testing.T) {
-	dist := linalg.NewMatrix(3, 3)
+	dist := linalg.NewSymMatrix(3)
 	if _, err := KMedoids(dist, KMedoidsOptions{K: 0}); err == nil {
 		t.Fatal("k=0 accepted")
 	}
 	if _, err := KMedoids(dist, KMedoidsOptions{K: 4}); err == nil {
 		t.Fatal("k>n accepted")
 	}
-	if _, err := KMedoids(linalg.NewMatrix(2, 3), KMedoidsOptions{K: 1}); err == nil {
-		t.Fatal("non-square accepted")
-	}
-	neg := linalg.NewMatrix(2, 2)
+	neg := linalg.NewSymMatrix(2)
 	neg.Set(0, 1, -1)
-	neg.Set(1, 0, -1)
 	if _, err := KMedoids(neg, KMedoidsOptions{K: 1}); err == nil {
 		t.Fatal("negative distance accepted")
-	}
-	asym := linalg.NewMatrix(2, 2)
-	asym.Set(0, 1, 1)
-	if _, err := KMedoids(asym, KMedoidsOptions{K: 1}); err == nil {
-		t.Fatal("asymmetric accepted")
 	}
 }
 
@@ -94,12 +85,10 @@ func TestKMedoidsInvariantsProperty(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		n := 2 + rng.Intn(25)
 		// Random symmetric non-negative distances with zero diagonal.
-		dist := linalg.NewMatrix(n, n)
+		dist := linalg.NewSymMatrix(n)
 		for i := 0; i < n; i++ {
 			for j := i + 1; j < n; j++ {
-				d := rng.Float64() * 10
-				dist.Set(i, j, d)
-				dist.Set(j, i, d)
+				dist.Set(i, j, rng.Float64()*10)
 			}
 		}
 		k := 1 + rng.Intn(n)

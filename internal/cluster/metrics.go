@@ -13,11 +13,8 @@ import (
 // another cluster. Values near 1 indicate tight, well-separated
 // clusters. Points in singleton clusters contribute 0 (the sklearn
 // convention).
-func Silhouette(dist *linalg.Matrix, labels []int) (float64, error) {
-	n := dist.Rows
-	if dist.Cols != n {
-		return 0, fmt.Errorf("cluster: distance matrix must be square")
-	}
+func Silhouette(dist *linalg.SymMatrix, labels []int) (float64, error) {
+	n := dist.N
 	if len(labels) != n {
 		return 0, fmt.Errorf("cluster: %d labels for %d points", len(labels), n)
 	}
@@ -63,25 +60,34 @@ func Silhouette(dist *linalg.Matrix, labels []int) (float64, error) {
 // (entries in [0,1], unit diagonal) to the induced kernel distance
 // d(i,j) = √(2 − 2·s(i,j)), the Euclidean distance in the kernel's
 // feature space.
-func DistanceFromSimilarity(sim *linalg.Matrix) (*linalg.Matrix, error) {
-	if sim.Rows != sim.Cols {
-		return nil, fmt.Errorf("cluster: similarity matrix must be square")
-	}
-	d := linalg.NewMatrix(sim.Rows, sim.Cols)
-	for i := 0; i < sim.Rows; i++ {
-		for j := 0; j < sim.Cols; j++ {
-			s := sim.At(i, j)
+func DistanceFromSimilarity(sim *linalg.SymMatrix) (*linalg.SymMatrix, error) {
+	d := linalg.NewSymMatrix(sim.N)
+	k := 0
+	for i := 0; i < sim.N; i++ {
+		for j := i; j < sim.N; j++ {
+			s := sim.Data[k]
 			if s < 0 || s > 1 {
 				return nil, fmt.Errorf("cluster: similarity (%d,%d)=%g outside [0,1]", i, j, s)
 			}
-			v := 2 - 2*s
-			if v < 0 {
-				v = 0
-			}
-			d.Set(i, j, math.Sqrt(v))
+			d.Data[k] = math.Sqrt(math.Max(2-2*s, 0))
+			k++
 		}
 	}
 	return d, nil
+}
+
+// checkDistances rejects a distance matrix with a negative entry.
+func checkDistances(dist *linalg.SymMatrix) error {
+	k := 0
+	for i := 0; i < dist.N; i++ {
+		for j := i; j < dist.N; j++ {
+			if dist.Data[k] < 0 {
+				return fmt.Errorf("cluster: negative distance at (%d,%d)", i, j)
+			}
+			k++
+		}
+	}
+	return nil
 }
 
 // contingency builds the contingency table between two labelings.

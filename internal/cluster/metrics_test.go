@@ -155,9 +155,9 @@ func TestSilhouetteSeparatedClusters(t *testing.T) {
 	// Two tight far-apart clusters: silhouette near 1.
 	pts := [][]float64{{0, 0}, {0.1, 0}, {10, 0}, {10.1, 0}}
 	labels := []int{0, 0, 1, 1}
-	d := linalg.NewMatrix(4, 4)
+	d := linalg.NewSymMatrix(4)
 	for i := range pts {
-		for j := range pts {
+		for j := i; j < len(pts); j++ {
 			dist, _ := linalg.Dist2(pts[i], pts[j])
 			d.Set(i, j, dist)
 		}
@@ -180,26 +180,20 @@ func TestSilhouetteSeparatedClusters(t *testing.T) {
 }
 
 func TestSilhouetteValidation(t *testing.T) {
-	d := linalg.NewMatrix(3, 3)
+	d := linalg.NewSymMatrix(3)
 	if _, err := Silhouette(d, []int{0, 0}); err == nil {
 		t.Fatal("label length mismatch accepted")
 	}
 	if _, err := Silhouette(d, []int{0, 0, 0}); err == nil {
 		t.Fatal("single cluster accepted")
 	}
-	if _, err := Silhouette(linalg.NewMatrix(2, 3), []int{0, 1}); err == nil {
-		t.Fatal("non-square accepted")
-	}
 }
 
 func TestSilhouetteSingletonCluster(t *testing.T) {
-	d := linalg.NewMatrix(3, 3)
+	d := linalg.NewSymMatrix(3)
 	d.Set(0, 1, 1)
-	d.Set(1, 0, 1)
 	d.Set(0, 2, 5)
-	d.Set(2, 0, 5)
 	d.Set(1, 2, 5)
-	d.Set(2, 1, 5)
 	s, err := Silhouette(d, []int{0, 0, 1})
 	if err != nil {
 		t.Fatal(err)
@@ -210,7 +204,7 @@ func TestSilhouetteSingletonCluster(t *testing.T) {
 }
 
 func TestDistanceFromSimilarity(t *testing.T) {
-	sim, _ := linalg.FromRows([][]float64{{1, 0.5}, {0.5, 1}})
+	sim := &linalg.SymMatrix{N: 2, Data: []float64{1, 0.5, 1}}
 	d, err := DistanceFromSimilarity(sim)
 	if err != nil {
 		t.Fatal(err)
@@ -221,7 +215,7 @@ func TestDistanceFromSimilarity(t *testing.T) {
 	if want := math.Sqrt(1.0); math.Abs(d.At(0, 1)-want) > 1e-12 {
 		t.Fatalf("distance = %g, want %g", d.At(0, 1), want)
 	}
-	bad, _ := linalg.FromRows([][]float64{{1, 2}, {2, 1}})
+	bad := &linalg.SymMatrix{N: 2, Data: []float64{1, 2, 1}}
 	if _, err := DistanceFromSimilarity(bad); err == nil {
 		t.Fatal("similarity > 1 accepted")
 	}

@@ -11,11 +11,12 @@
 //     scan, so re-centering only ever inspects jobs the LSH tables
 //     already consider similar. Centers are actual jobs (exemplars).
 //
-// Both operate on []map[int]float64 — plain sparse vectors — so the
-// package stays decoupled from internal/wl; callers convert each
-// wl.CompactVector. The exact spectral path (spectral.go) remains the
-// reference on ≤100-job samples; the agreement between the two is part
-// of the accuracy-vs-speed gate.
+// Both operate on wl.CompactVector, the pipeline's one feature-vector
+// type. Its sorted keys make every norm, dot and centroid update a
+// merge-join with a fixed summation order, so results are bitwise
+// reproducible for a fixed seed. The exact spectral path (spectral.go)
+// remains the reference on ≤100-job samples; the agreement between the
+// two is part of the accuracy-vs-speed gate.
 package cluster
 
 import (
@@ -25,6 +26,7 @@ import (
 	"sort"
 
 	"jobgraph/internal/obs"
+	"jobgraph/internal/wl"
 )
 
 var (
@@ -56,15 +58,15 @@ func (o *MiniBatchKMeansOptions) defaults() {
 
 // MiniBatchKMeansResult is the clustering of one mini-batch descent.
 type MiniBatchKMeansResult struct {
-	Labels     []int             // cluster per point, in [0, K)
-	Centers    []map[int]float64 // unit-norm sparse centroids
-	Inertia    float64           // sum of cosine distances to assigned centroid
-	Iterations int               // update batches consumed
+	Labels     []int              // cluster per point, in [0, K)
+	Centers    []wl.CompactVector // unit-norm sparse centroids
+	Inertia    float64            // sum of cosine distances to assigned centroid
+	Iterations int                // update batches consumed
 }
 
 // MiniBatchKMeans clusters sparse non-negative vectors into K groups by
 // cosine distance. Deterministic for a fixed seed.
-func MiniBatchKMeans(points []map[int]float64, opt MiniBatchKMeansOptions) (*MiniBatchKMeansResult, error) {
+func MiniBatchKMeans(points []wl.CompactVector, opt MiniBatchKMeansOptions) (*MiniBatchKMeansResult, error) {
 	opt.defaults()
 	n := len(points)
 	if n == 0 {
@@ -87,13 +89,15 @@ func MiniBatchKMeans(points []map[int]float64, opt MiniBatchKMeansOptions) (*Min
 		maxMove := 0.0
 		for b := 0; b < opt.BatchSize; b++ {
 			i := rng.Intn(n)
-			c := nearestSparse(centers, points[i], norms[i])
+			c := nearestSparse(centers, points[i])
 			counts[c]++
 			// Sculley update with per-center learning rate 1/count,
 			// then re-projection onto the unit sphere (spherical
 			// mini-batch k-means).
 			lr := 1.0 / float64(counts[c])
-			moved := blendSparse(centers[c], points[i], norms[i], lr)
+			prev := centers[c]
+			centers[c] = blendSparse(prev, points[i], norms[i], lr)
+			moved := cosDist(prev, sparseNorm(prev), centers[c], sparseNorm(centers[c]))
 			if moved > maxMove {
 				maxMove = moved
 			}
@@ -154,7 +158,7 @@ type SketchKMedoidsResult struct {
 // — instead of scanning all n members. neighbors may be nil, in which
 // case proposals are sampled from cluster members only; it must
 // otherwise have one list per point with in-range indexes.
-func SketchKMedoids(points []map[int]float64, neighbors [][]int32, opt SketchKMedoidsOptions) (*SketchKMedoidsResult, error) {
+func SketchKMedoids(points []wl.CompactVector, neighbors [][]int32, opt SketchKMedoidsOptions) (*SketchKMedoidsResult, error) {
 	opt.defaults()
 	n := len(points)
 	if n == 0 {
@@ -302,36 +306,19 @@ func clusterCost(m int, members []int, dist func(a, b int) float64) float64 {
 
 // --- sparse vector helpers ---
 
-func sparseNorm(v map[int]float64) float64 {
-	var s float64
-	for _, x := range v {
-		s += x * x
-	}
-	return math.Sqrt(s)
-}
-
-func sparseDot(a, b map[int]float64) float64 {
-	if len(b) < len(a) {
-		a, b = b, a
-	}
-	var s float64
-	for k, x := range a {
-		s += x * b[k]
-	}
-	return s
-}
+func sparseNorm(v wl.CompactVector) float64 { return math.Sqrt(v.SelfDot()) }
 
 // cosDist is 1 - cosine similarity, with the empty-vector conventions
 // of wl.Similarity (two empties coincide, empty vs non-empty is as far
 // as possible).
-func cosDist(a map[int]float64, na float64, b map[int]float64, nb float64) float64 {
+func cosDist(a wl.CompactVector, na float64, b wl.CompactVector, nb float64) float64 {
 	switch {
 	case na == 0 && nb == 0:
 		return 0
 	case na == 0 || nb == 0:
 		return 1
 	}
-	cos := sparseDot(a, b) / (na * nb)
+	cos := a.Dot(b) / (na * nb)
 	if cos > 1 {
 		cos = 1
 	}
@@ -342,85 +329,93 @@ func cosDist(a map[int]float64, na float64, b map[int]float64, nb float64) float
 }
 
 // unitSparse copies v scaled to unit norm (zero vectors copy as-is).
-func unitSparse(v map[int]float64, norm float64) map[int]float64 {
-	out := make(map[int]float64, len(v))
-	for k, x := range v {
+func unitSparse(v wl.CompactVector, norm float64) wl.CompactVector {
+	out := wl.CompactVector{
+		Keys: append([]int32(nil), v.Keys...),
+		Vals: make([]float64, len(v.Vals)),
+	}
+	for i, x := range v.Vals {
 		if norm > 0 {
-			out[k] = x / norm
-		} else {
-			out[k] = x
+			x /= norm
 		}
+		out.Vals[i] = x
 	}
 	return out
 }
 
-// centerNorm is the norm of a centroid map.
-func centerNorm(c map[int]float64) float64 { return sparseNorm(c) }
-
 // nearestSparse returns the centroid with the highest cosine similarity
 // to p (centers are unit-norm, so the dot product suffices).
-func nearestSparse(centers []map[int]float64, p map[int]float64, norm float64) int {
+func nearestSparse(centers []wl.CompactVector, p wl.CompactVector) int {
 	best, bestDot := 0, math.Inf(-1)
 	for c, ctr := range centers {
-		if d := sparseDot(ctr, p); d > bestDot {
+		if d := ctr.Dot(p); d > bestDot {
 			best, bestDot = c, d
 		}
 	}
-	_ = norm
 	return best
 }
 
-// blendSparse moves center c toward the unit-normalized point by
-// learning rate lr and re-projects it onto the unit sphere, returning
-// the cosine distance the center moved. Entries that decay below 1e-9
-// are pruned so long runs don't accrete the union of all supports.
-func blendSparse(c map[int]float64, p map[int]float64, pNorm, lr float64) float64 {
-	before := make(map[int]float64, len(c))
-	for k, x := range c {
-		before[k] = x
-	}
-	for k := range c {
-		c[k] *= 1 - lr
-	}
+// blendSparse returns center c moved toward the unit-normalized point
+// by learning rate lr and re-projected onto the unit sphere: one merge
+// over the two sorted key lists. Entries that decay below 1e-9 are
+// pruned so long runs don't accrete the union of all supports.
+func blendSparse(c, p wl.CompactVector, pNorm, lr float64) wl.CompactVector {
+	pScale := 0.0
 	if pNorm > 0 {
-		for k, x := range p {
-			c[k] += lr * x / pNorm
+		pScale = lr / pNorm
+	}
+	keys := make([]int32, 0, len(c.Keys)+len(p.Keys))
+	vals := make([]float64, 0, len(c.Keys)+len(p.Keys))
+	i, j := 0, 0
+	for i < len(c.Keys) || j < len(p.Keys) {
+		switch {
+		case j == len(p.Keys) || (i < len(c.Keys) && c.Keys[i] < p.Keys[j]):
+			keys, vals = append(keys, c.Keys[i]), append(vals, c.Vals[i]*(1-lr))
+			i++
+		case i == len(c.Keys) || p.Keys[j] < c.Keys[i]:
+			keys, vals = append(keys, p.Keys[j]), append(vals, pScale*p.Vals[j])
+			j++
+		default:
+			keys, vals = append(keys, c.Keys[i]), append(vals, c.Vals[i]*(1-lr)+pScale*p.Vals[j])
+			i++
+			j++
 		}
 	}
-	n := centerNorm(c)
-	for k, x := range c {
-		y := x
+	// Normalize and prune, compacting in place.
+	n := sparseNorm(wl.CompactVector{Vals: vals})
+	out := wl.CompactVector{Keys: keys[:0], Vals: vals[:0]}
+	for k, x := range vals {
 		if n > 0 {
-			y = x / n
+			x /= n
 		}
-		if math.Abs(y) < 1e-9 {
-			delete(c, k)
+		if math.Abs(x) < 1e-9 {
 			continue
 		}
-		c[k] = y
+		out.Keys = append(out.Keys, keys[k])
+		out.Vals = append(out.Vals, x)
 	}
-	return cosDist(before, sparseNorm(before), c, centerNorm(c))
+	return out
 }
 
 // assignSparse labels every point with its nearest centroid and totals
 // the cosine-distance inertia.
-func assignSparse(centers []map[int]float64, points []map[int]float64, norms []float64) ([]int, float64) {
+func assignSparse(centers []wl.CompactVector, points []wl.CompactVector, norms []float64) ([]int, float64) {
 	labels := make([]int, len(points))
 	var inertia float64
 	for i, p := range points {
-		c := nearestSparse(centers, p, norms[i])
+		c := nearestSparse(centers, p)
 		labels[i] = c
-		inertia += cosDist(p, norms[i], centers[c], centerNorm(centers[c]))
+		inertia += cosDist(p, norms[i], centers[c], sparseNorm(centers[c]))
 	}
 	return labels, inertia
 }
 
 // seedSparsePlusPlus picks K initial unit-norm centroids with D²
 // weighting under cosine distance.
-func seedSparsePlusPlus(points []map[int]float64, norms []float64, k int, rng *rand.Rand) []map[int]float64 {
+func seedSparsePlusPlus(points []wl.CompactVector, norms []float64, k int, rng *rand.Rand) []wl.CompactVector {
 	n := len(points)
 	first := rng.Intn(n)
-	centers := []map[int]float64{unitSparse(points[first], norms[first])}
+	centers := []wl.CompactVector{unitSparse(points[first], norms[first])}
 	dist := make([]float64, n)
 	for i, p := range points {
 		dist[i] = cosDist(p, norms[i], centers[0], 1)
@@ -471,11 +466,11 @@ func emptyCluster(labels []int, k int) int {
 
 // farthestSparse returns the point farthest (cosine) from its assigned
 // centroid.
-func farthestSparse(centers []map[int]float64, points []map[int]float64, norms []float64, labels []int) int {
+func farthestSparse(centers []wl.CompactVector, points []wl.CompactVector, norms []float64, labels []int) int {
 	bestI, bestD := 0, -1.0
 	for i, p := range points {
 		c := centers[labels[i]]
-		if d := cosDist(p, norms[i], c, centerNorm(c)); d > bestD {
+		if d := cosDist(p, norms[i], c, sparseNorm(c)); d > bestD {
 			bestI, bestD = i, d
 		}
 	}

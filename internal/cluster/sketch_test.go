@@ -1,25 +1,30 @@
 package cluster
 
 import (
+	"math"
 	"math/rand"
 	"testing"
+
+	"jobgraph/internal/wl"
 )
 
 // plantedSparse builds perGroup points per group, each group supported
 // on a disjoint feature block plus a little shared noise — clusters any
 // cosine method must recover.
-func plantedSparse(rng *rand.Rand, groups, perGroup int) ([]map[int]float64, []int) {
-	var points []map[int]float64
+func plantedSparse(rng *rand.Rand, groups, perGroup int) ([]wl.CompactVector, []int) {
+	var points []wl.CompactVector
 	var truth []int
 	for g := 0; g < groups; g++ {
-		base := g * 1000
+		base := int32(g * 1000)
 		for i := 0; i < perGroup; i++ {
-			v := make(map[int]float64)
-			for f := 0; f < 20; f++ {
-				v[base+f] = 1 + float64(rng.Intn(3))
+			var v wl.CompactVector
+			for f := int32(0); f < 20; f++ {
+				v.Keys = append(v.Keys, base+f)
+				v.Vals = append(v.Vals, 1+float64(rng.Intn(3)))
 			}
-			// Sparse cross-group noise.
-			v[9000+rng.Intn(10)] = 1
+			// Sparse cross-group noise, above every group block.
+			v.Keys = append(v.Keys, 9000+int32(rng.Intn(10)))
+			v.Vals = append(v.Vals, 1)
 			points = append(points, v)
 			truth = append(truth, g)
 		}
@@ -67,11 +72,19 @@ func TestMiniBatchKMeansDeterministic(t *testing.T) {
 	}
 }
 
+// twoPoints is two orthogonal one-hot vectors.
+func twoPoints() []wl.CompactVector {
+	return []wl.CompactVector{
+		{Keys: []int32{1}, Vals: []float64{1}},
+		{Keys: []int32{2}, Vals: []float64{1}},
+	}
+}
+
 func TestMiniBatchKMeansValidation(t *testing.T) {
 	if _, err := MiniBatchKMeans(nil, MiniBatchKMeansOptions{K: 2}); err == nil {
 		t.Fatal("zero points accepted")
 	}
-	pts := []map[int]float64{{1: 1}, {2: 1}}
+	pts := twoPoints()
 	if _, err := MiniBatchKMeans(pts, MiniBatchKMeansOptions{K: 3}); err == nil {
 		t.Fatal("k > n accepted")
 	}
@@ -131,7 +144,7 @@ func TestSketchKMedoidsWithNeighborLists(t *testing.T) {
 }
 
 func TestSketchKMedoidsValidation(t *testing.T) {
-	pts := []map[int]float64{{1: 1}, {2: 1}}
+	pts := twoPoints()
 	if _, err := SketchKMedoids(nil, nil, SketchKMedoidsOptions{K: 1}); err == nil {
 		t.Fatal("zero points accepted")
 	}
@@ -157,6 +170,55 @@ func TestSketchKMedoidsDeterministic(t *testing.T) {
 	for i := range a.Labels {
 		if a.Labels[i] != b.Labels[i] {
 			t.Fatalf("label %d differs across identical runs", i)
+		}
+	}
+}
+
+// TestSketchClusteringBitwiseReproducible reruns both sketch-space
+// algorithms on fixed inputs and seeds: inertia, cost and centroids
+// must agree bit for bit, not merely produce the same labels.
+func TestSketchClusteringBitwiseReproducible(t *testing.T) {
+	rng := rand.New(rand.NewSource(21))
+	points, _ := plantedSparse(rng, 4, 30)
+	// Overlapping supports, so centroid updates mix many keys.
+	for i := range points {
+		for k := range points[i].Vals {
+			points[i].Vals[k] += float64(rng.Intn(4))
+		}
+	}
+	mb0, err := MiniBatchKMeans(points, MiniBatchKMeansOptions{K: 4, Seed: 3, BatchSize: 32})
+	if err != nil {
+		t.Fatal(err)
+	}
+	km0, err := SketchKMedoids(points, nil, SketchKMedoidsOptions{K: 4, Seed: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for run := 1; run < 20; run++ {
+		mb, err := MiniBatchKMeans(points, MiniBatchKMeansOptions{K: 4, Seed: 3, BatchSize: 32})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if math.Float64bits(mb.Inertia) != math.Float64bits(mb0.Inertia) {
+			t.Fatalf("run %d: minibatch inertia %v, first run %v", run, mb.Inertia, mb0.Inertia)
+		}
+		for c := range mb0.Centers {
+			a, b := mb0.Centers[c], mb.Centers[c]
+			if len(a.Keys) != len(b.Keys) {
+				t.Fatalf("run %d: center %d has %d keys, first run %d", run, c, len(b.Keys), len(a.Keys))
+			}
+			for k := range a.Keys {
+				if a.Keys[k] != b.Keys[k] || math.Float64bits(a.Vals[k]) != math.Float64bits(b.Vals[k]) {
+					t.Fatalf("run %d: center %d differs at entry %d", run, c, k)
+				}
+			}
+		}
+		km, err := SketchKMedoids(points, nil, SketchKMedoidsOptions{K: 4, Seed: 3})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if math.Float64bits(km.Cost) != math.Float64bits(km0.Cost) {
+			t.Fatalf("run %d: kmedoids cost %v, first run %v", run, km.Cost, km0.Cost)
 		}
 	}
 }

@@ -56,53 +56,18 @@ type SpectralResult struct {
 //
 // The paper applies exactly this to the WL similarity map to obtain its
 // five job groups (§VI-A).
-func Spectral(affinity *linalg.Matrix, opt SpectralOptions) (*SpectralResult, error) {
-	n := affinity.Rows
-	if affinity.Cols != n {
-		return nil, fmt.Errorf("cluster: affinity must be square, got %dx%d", n, affinity.Cols)
-	}
+func Spectral(affinity *linalg.SymMatrix, opt SpectralOptions) (*SpectralResult, error) {
+	n := affinity.N
 	if opt.K < 1 || opt.K > n {
 		return nil, fmt.Errorf("cluster: k=%d out of range [1,%d]", opt.K, n)
 	}
-	if !affinity.IsSymmetric(1e-9) {
-		return nil, fmt.Errorf("cluster: affinity matrix is not symmetric")
-	}
-	for i := 0; i < n; i++ {
-		for j := 0; j < n; j++ {
-			if affinity.At(i, j) < 0 {
-				return nil, fmt.Errorf("cluster: negative affinity at (%d,%d)", i, j)
-			}
-		}
-	}
-
-	// Normalized affinity L = D^{-1/2} A D^{-1/2}.
-	l := affinity.Clone()
-	dinv := make([]float64, n)
-	for i := 0; i < n; i++ {
-		var deg float64
-		for j := 0; j < n; j++ {
-			deg += affinity.At(i, j)
-		}
-		if deg <= 0 {
-			// Fully isolated item (zero similarity to everything,
-			// including itself). Leave its row zero; it will land in
-			// whatever cluster k-means gives the zero embedding.
-			dinv[i] = 0
-			continue
-		}
-		dinv[i] = 1 / math.Sqrt(deg)
-	}
-	for i := 0; i < n; i++ {
-		for j := 0; j < n; j++ {
-			l.Set(i, j, affinity.At(i, j)*dinv[i]*dinv[j])
-		}
+	l, err := normalizedAffinity(affinity)
+	if err != nil {
+		return nil, err
 	}
 
 	var warnings []string
-	eig, err := linalg.SymmetricEigen(l, 0)
-	if err != nil {
-		return nil, fmt.Errorf("cluster: %w", err)
-	}
+	eig := linalg.SymmetricEigen(l, 0)
 	if !eig.Converged {
 		// The solver hit its sweep cap at the default tolerance. Retry
 		// once with a relaxed threshold rather than failing the whole
@@ -110,11 +75,7 @@ func Spectral(affinity *linalg.Matrix, opt SpectralOptions) (*SpectralResult, er
 		obsSpectralEigenRetries.Add(1)
 		warnings = append(warnings, fmt.Sprintf(
 			"eigensolver hit sweep cap after %d sweeps; retried with relaxed tolerance %g", eig.Sweeps, relaxedEigenTol))
-		retry, rerr := linalg.SymmetricEigen(l, relaxedEigenTol)
-		if rerr != nil {
-			return nil, fmt.Errorf("cluster: relaxed-tolerance retry: %w", rerr)
-		}
-		eig = retry
+		eig = linalg.SymmetricEigen(l, relaxedEigenTol)
 		if !eig.Converged {
 			warnings = append(warnings, fmt.Sprintf(
 				"eigensolver still non-converged at tolerance %g; using best approximation", relaxedEigenTol))
@@ -151,6 +112,40 @@ func Spectral(affinity *linalg.Matrix, opt SpectralOptions) (*SpectralResult, er
 		Eigenvalues: eig.Values,
 		Warnings:    warnings,
 	}, nil
+}
+
+// normalizedAffinity returns L = D^{-1/2} A D^{-1/2}, with D the
+// diagonal degree matrix of the non-negative affinity A, packed like A.
+// Each cell is computed once from its upper-triangle position, so L is
+// exactly symmetric.
+func normalizedAffinity(a *linalg.SymMatrix) (*linalg.SymMatrix, error) {
+	n := a.N
+	dinv := make([]float64, n)
+	for i := 0; i < n; i++ {
+		var deg float64
+		for j := 0; j < n; j++ {
+			v := a.At(i, j)
+			if v < 0 {
+				return nil, fmt.Errorf("cluster: negative affinity at (%d,%d)", i, j)
+			}
+			deg += v
+		}
+		// A fully isolated item (zero similarity to everything,
+		// including itself) keeps a zero row; it lands in whatever
+		// cluster k-means gives the zero embedding.
+		if deg > 0 {
+			dinv[i] = 1 / math.Sqrt(deg)
+		}
+	}
+	l := linalg.NewSymMatrix(n)
+	k := 0
+	for i := 0; i < n; i++ {
+		for j := i; j < n; j++ {
+			l.Data[k] = a.Data[k] * dinv[i] * dinv[j]
+			k++
+		}
+	}
+	return l, nil
 }
 
 // EigenGap returns the relative gap λ[k-1]−λ[k] of the result's spectrum

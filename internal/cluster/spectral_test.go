@@ -8,7 +8,7 @@ import (
 
 // blockAffinity builds a block-diagonal affinity: items in the same
 // block have similarity hi, across blocks lo.
-func blockAffinity(blocks []int, hi, lo float64) (*linalg.Matrix, []int) {
+func blockAffinity(blocks []int, hi, lo float64) (*linalg.SymMatrix, []int) {
 	n := 0
 	for _, b := range blocks {
 		n += b
@@ -19,9 +19,9 @@ func blockAffinity(blocks []int, hi, lo float64) (*linalg.Matrix, []int) {
 			truth = append(truth, c)
 		}
 	}
-	m := linalg.NewMatrix(n, n)
+	m := linalg.NewSymMatrix(n)
 	for i := 0; i < n; i++ {
-		for j := 0; j < n; j++ {
+		for j := i; j < n; j++ {
 			switch {
 			case i == j:
 				m.Set(i, j, 1)
@@ -75,18 +75,8 @@ func TestSpectralValidation(t *testing.T) {
 	if _, err := Spectral(aff, SpectralOptions{K: 9}); err == nil {
 		t.Fatal("k>n accepted")
 	}
-	rect := linalg.NewMatrix(3, 4)
-	if _, err := Spectral(rect, SpectralOptions{K: 2}); err == nil {
-		t.Fatal("non-square accepted")
-	}
-	asym := linalg.NewMatrix(3, 3)
-	asym.Set(0, 1, 0.5)
-	if _, err := Spectral(asym, SpectralOptions{K: 2}); err == nil {
-		t.Fatal("asymmetric accepted")
-	}
 	neg, _ := blockAffinity([]int{2, 2}, 0.5, 0.1)
 	neg.Set(0, 1, -0.5)
-	neg.Set(1, 0, -0.5)
 	if _, err := Spectral(neg, SpectralOptions{K: 2}); err == nil {
 		t.Fatal("negative affinity accepted")
 	}
@@ -135,13 +125,11 @@ func TestSpectralEmbeddingRowsUnit(t *testing.T) {
 func TestSpectralIsolatedItem(t *testing.T) {
 	// One item with zero affinity to everything (including itself)
 	// must not crash the degree normalization.
-	m := linalg.NewMatrix(5, 5)
+	m := linalg.NewSymMatrix(5)
 	for i := 0; i < 4; i++ {
 		m.Set(i, i, 1)
-		for j := 0; j < 4; j++ {
-			if i != j {
-				m.Set(i, j, 0.8)
-			}
+		for j := i + 1; j < 4; j++ {
+			m.Set(i, j, 0.8)
 		}
 	}
 	res, err := Spectral(m, SpectralOptions{K: 2, KMeans: KMeansOptions{Seed: 1}})

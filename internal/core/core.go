@@ -191,8 +191,9 @@ type Analysis struct {
 	JobStats []JobStat
 	// FilterStats reports the §IV-B selection outcome.
 	FilterStats sampling.FilterStats
-	// Similarity is the n×n normalized WL kernel matrix (Figure 7).
-	Similarity *linalg.Matrix
+	// Similarity is the n×n normalized WL kernel matrix (Figure 7),
+	// packed: it is symmetric by construction.
+	Similarity *linalg.SymMatrix
 	// Labels are raw spectral cluster ids per sample index.
 	Labels []int
 	// Groups are population-ranked profiles (Figure 9); Groups[0] is
@@ -279,8 +280,14 @@ func (an *Analysis) StageDuration(name string) (time.Duration, bool) {
 // cache provenance). Two runs over the same jobs and semantically equal
 // configuration must fingerprint identically whether their artifacts
 // were computed, cache-loaded, or resumed mid-pipeline; the
-// cache-equivalence tests and the CI gate rely on exactly that.
+// cache-equivalence tests and the CI gate rely on exactly that. The
+// similarity matrix is hashed in its dense n² layout, so fingerprints
+// do not depend on how it is stored.
 func (an *Analysis) Fingerprint() (string, error) {
+	var sim *linalg.Matrix
+	if an.Similarity != nil {
+		sim = an.Similarity.Dense()
+	}
 	payload := struct {
 		Sample      []sampling.Candidate
 		Graphs      []*dag.Graph
@@ -292,7 +299,7 @@ func (an *Analysis) Fingerprint() (string, error) {
 		Silhouette  float64
 		Warnings    []string
 		Partial     bool
-	}{an.Sample, an.Graphs, an.JobStats, an.FilterStats, an.Similarity,
+	}{an.Sample, an.Graphs, an.JobStats, an.FilterStats, sim,
 		an.Labels, an.Groups, an.Silhouette, an.Warnings, an.Partial}
 	b, err := json.Marshal(payload)
 	if err != nil {
@@ -328,7 +335,7 @@ func sizeQuantileLabels(graphs []*dag.Graph, k int) []int {
 
 // profileGroups computes population-ranked group statistics from the
 // per-job summaries the dag.jobs stage already produced.
-func profileGroups(graphs []*dag.Graph, jstats []JobStat, sim *linalg.Matrix, labels []int) []GroupProfile {
+func profileGroups(graphs []*dag.Graph, jstats []JobStat, sim *linalg.SymMatrix, labels []int) []GroupProfile {
 	byLabel := make(map[int][]int)
 	for i, l := range labels {
 		byLabel[l] = append(byLabel[l], i)
@@ -391,7 +398,7 @@ func profileGroups(graphs []*dag.Graph, jstats []JobStat, sim *linalg.Matrix, la
 
 // medoid returns the member index with the highest total similarity to
 // its group — the most central exemplar.
-func medoid(sim *linalg.Matrix, members []int) int {
+func medoid(sim *linalg.SymMatrix, members []int) int {
 	best := members[0]
 	bestScore := -1.0
 	for _, i := range members {

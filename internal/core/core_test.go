@@ -33,8 +33,8 @@ func TestRunPaperScale(t *testing.T) {
 	if len(an.Sample) != 100 {
 		t.Fatalf("sample = %d, want 100", len(an.Sample))
 	}
-	if an.Similarity.Rows != 100 || an.Similarity.Cols != 100 {
-		t.Fatalf("similarity shape %dx%d", an.Similarity.Rows, an.Similarity.Cols)
+	if an.Similarity.N != 100 {
+		t.Fatalf("similarity order %d", an.Similarity.N)
 	}
 	if len(an.Labels) != 100 {
 		t.Fatalf("labels = %d", len(an.Labels))
@@ -180,7 +180,7 @@ func TestRunSampleSmallerThanGroups(t *testing.T) {
 
 func TestSimilarityDiagonalOnes(t *testing.T) {
 	an := runPipeline(t, 2000, 8)
-	for i := 0; i < an.Similarity.Rows; i++ {
+	for i := 0; i < an.Similarity.N; i++ {
 		if an.Similarity.At(i, i) != 1 {
 			t.Fatalf("diagonal (%d) = %g", i, an.Similarity.At(i, i))
 		}

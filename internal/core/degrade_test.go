@@ -13,7 +13,7 @@ import (
 
 // swapSpectral installs a replacement spectral implementation for the
 // duration of the test.
-func swapSpectral(t *testing.T, fn func(*linalg.Matrix, cluster.SpectralOptions) (*cluster.SpectralResult, error)) {
+func swapSpectral(t *testing.T, fn func(*linalg.SymMatrix, cluster.SpectralOptions) (*cluster.SpectralResult, error)) {
 	t.Helper()
 	orig := spectralFn
 	spectralFn = fn
@@ -28,7 +28,7 @@ func degradeConfig(seed int64) Config {
 }
 
 func TestSpectralFailureFallsBackToSizeQuantiles(t *testing.T) {
-	swapSpectral(t, func(*linalg.Matrix, cluster.SpectralOptions) (*cluster.SpectralResult, error) {
+	swapSpectral(t, func(*linalg.SymMatrix, cluster.SpectralOptions) (*cluster.SpectralResult, error) {
 		return nil, errors.New("injected eigensolver meltdown")
 	})
 	an, err := Run(genJobs(t, 800, 3), degradeConfig(3))
@@ -62,7 +62,7 @@ func TestSpectralFailureFallsBackToSizeQuantiles(t *testing.T) {
 }
 
 func TestSpectralWarningsPropagate(t *testing.T) {
-	swapSpectral(t, func(sim *linalg.Matrix, opt cluster.SpectralOptions) (*cluster.SpectralResult, error) {
+	swapSpectral(t, func(sim *linalg.SymMatrix, opt cluster.SpectralOptions) (*cluster.SpectralResult, error) {
 		res, err := cluster.Spectral(sim, opt)
 		if err != nil {
 			return nil, err

@@ -53,8 +53,8 @@ type (
 	}
 	matrixArtifact struct {
 		// Sim is packed (upper triangle): symmetric similarity matrices
-		// cache and ship at half the dense size. Consumers needing the
-		// full n² layout (eigendecomposition, reports) call Sim.Dense().
+		// cache and ship at half the dense size, and every consumer
+		// down to the eigensolver takes the packed form.
 		Sim *linalg.SymMatrix
 	}
 	clusterArtifact struct {
@@ -310,7 +310,7 @@ func (cfg Config) plan(jobs []trace.Job, lg *slog.Logger, times *jobTimes) *engi
 			if ma.Sim.N < cfg.Groups {
 				return nil, "", fmt.Errorf("core: sample of %d too small for %d groups", ma.Sim.N, cfg.Groups)
 			}
-			spec, err := spectralFn(ma.Sim.Dense(), cluster.SpectralOptions{
+			spec, err := spectralFn(ma.Sim, cluster.SpectralOptions{
 				K:      cfg.Groups,
 				KMeans: cluster.KMeansOptions{Seed: cfg.Seed},
 			})
@@ -355,9 +355,8 @@ func (cfg Config) plan(jobs []trace.Job, lg *slog.Logger, times *jobTimes) *engi
 			if err != nil {
 				return nil, "", err
 			}
-			sim := ma.Sim.Dense()
-			art := profileArtifact{Groups: profileGroups(da.Graphs, da.Stats, sim, ca.Labels)}
-			if dist, err := cluster.DistanceFromSimilarity(sim); err == nil {
+			art := profileArtifact{Groups: profileGroups(da.Graphs, da.Stats, ma.Sim, ca.Labels)}
+			if dist, err := cluster.DistanceFromSimilarity(ma.Sim); err == nil {
 				if s, err := cluster.Silhouette(dist, ca.Labels); err == nil {
 					art.Silhouette = s
 				}
@@ -541,7 +540,7 @@ func Run(jobs []trace.Job, cfg Config) (*Analysis, error) {
 	an.Graphs = da.Graphs
 	an.JobStats = da.Stats
 	an.FilterStats = fa.Stats
-	an.Similarity = ma.Sim.Dense()
+	an.Similarity = ma.Sim
 	an.Labels = ca.Labels
 	an.Warnings = append(an.Warnings, ca.Warnings...)
 	an.Groups = pa.Groups

@@ -41,26 +41,22 @@ const jacobiMaxSweeps = 64
 
 // SymmetricEigen computes all eigenvalues and eigenvectors of the real
 // symmetric matrix a using the cyclic Jacobi rotation method. The input
-// is not modified. tol is the convergence threshold on the largest
-// absolute off-diagonal element relative to the Frobenius norm; pass 0
-// for the default (1e-12).
+// is not modified: the rotations run on a dense working copy expanded
+// from the packed triangle (rotating the packed form in place measured
+// slower, since every rotation touches whole rows and columns). tol is
+// the convergence threshold on the largest absolute off-diagonal element
+// relative to the Frobenius norm; pass 0 for the default (1e-12).
 //
 // Jacobi is chosen over Householder-QR because (a) it is simple enough to
 // verify from first principles, (b) it delivers small, uniformly accurate
 // eigenpairs, and (c) the spectral-clustering matrices here are at most a
 // few thousand square, where Jacobi's O(n³) per sweep is immaterial.
-func SymmetricEigen(a *Matrix, tol float64) (*EigenResult, error) {
-	if a.Rows != a.Cols {
-		return nil, fmt.Errorf("linalg: eigen needs square matrix, got %dx%d", a.Rows, a.Cols)
-	}
-	if !a.IsSymmetric(1e-9 * (1 + a.FrobeniusNorm())) {
-		return nil, fmt.Errorf("linalg: eigen needs symmetric matrix")
-	}
+func SymmetricEigen(a *SymMatrix, tol float64) *EigenResult {
 	if tol <= 0 {
 		tol = 1e-12
 	}
-	n := a.Rows
-	m := a.Clone()
+	n := a.N
+	m := a.Dense()
 	v := Identity(n)
 
 	scale := m.FrobeniusNorm()
@@ -115,7 +111,7 @@ func SymmetricEigen(a *Matrix, tol float64) (*EigenResult, error) {
 		res.Vectors[k] = vec
 	}
 	res.Values = sortedVals
-	return res, nil
+	return res
 }
 
 // rotate applies one two-sided Jacobi rotation zeroing m[p][q], updating

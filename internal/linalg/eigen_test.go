@@ -10,11 +10,7 @@ import (
 func TestSymmetricEigenKnown2x2(t *testing.T) {
 	// [[2,1],[1,2]] has eigenvalues 3 and 1 with eigenvectors
 	// (1,1)/√2 and (1,-1)/√2.
-	m, _ := FromRows([][]float64{{2, 1}, {1, 2}})
-	res, err := SymmetricEigen(m, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := SymmetricEigen(symFromRows(t, [][]float64{{2, 1}, {1, 2}}), 0)
 	if !almost(res.Values[0], 3, 1e-10) || !almost(res.Values[1], 1, 1e-10) {
 		t.Fatalf("values = %v, want [3 1]", res.Values)
 	}
@@ -26,11 +22,7 @@ func TestSymmetricEigenKnown2x2(t *testing.T) {
 }
 
 func TestSymmetricEigenDiagonal(t *testing.T) {
-	m, _ := FromRows([][]float64{{5, 0, 0}, {0, -2, 0}, {0, 0, 3}})
-	res, err := SymmetricEigen(m, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := SymmetricEigen(symFromRows(t, [][]float64{{5, 0, 0}, {0, -2, 0}, {0, 0, 3}}), 0)
 	want := []float64{5, 3, -2}
 	for i, w := range want {
 		if !almost(res.Values[i], w, 1e-12) {
@@ -40,10 +32,7 @@ func TestSymmetricEigenDiagonal(t *testing.T) {
 }
 
 func TestSymmetricEigenZeroMatrix(t *testing.T) {
-	res, err := SymmetricEigen(NewMatrix(3, 3), 0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := SymmetricEigen(NewSymMatrix(3), 0)
 	for _, v := range res.Values {
 		if v != 0 {
 			t.Fatalf("zero matrix eigenvalues = %v", res.Values)
@@ -51,14 +40,19 @@ func TestSymmetricEigenZeroMatrix(t *testing.T) {
 	}
 }
 
-func TestSymmetricEigenRejects(t *testing.T) {
-	if _, err := SymmetricEigen(NewMatrix(2, 3), 0); err == nil {
-		t.Fatal("non-square accepted")
+// symFromRows packs the upper triangle of a square row slice.
+func symFromRows(t *testing.T, rows [][]float64) *SymMatrix {
+	t.Helper()
+	s := NewSymMatrix(len(rows))
+	for i, r := range rows {
+		if len(r) != s.N {
+			t.Fatalf("row %d has %d cols, want %d", i, len(r), s.N)
+		}
+		for j := i; j < s.N; j++ {
+			s.Set(i, j, r[j])
+		}
 	}
-	asym, _ := FromRows([][]float64{{1, 2}, {5, 1}})
-	if _, err := SymmetricEigen(asym, 0); err == nil {
-		t.Fatal("asymmetric accepted")
-	}
+	return s
 }
 
 // reconstruct builds V diag(λ) Vᵀ from an eigen result.
@@ -77,28 +71,38 @@ func reconstruct(res *EigenResult) *Matrix {
 	return out
 }
 
-func randomSymmetric(rng *rand.Rand, n int) *Matrix {
-	m := NewMatrix(n, n)
-	for i := 0; i < n; i++ {
-		for j := i; j < n; j++ {
-			v := rng.NormFloat64()
-			m.Set(i, j, v)
-			m.Set(j, i, v)
-		}
+func randomSymmetric(rng *rand.Rand, n int) *SymMatrix {
+	m := NewSymMatrix(n)
+	for i := range m.Data {
+		m.Data[i] = rng.NormFloat64()
 	}
 	return m
+}
+
+// gram returns the packed Gram matrix XXᵀ of a random n×cols X: a
+// symmetric PSD test input.
+func gram(rng *rand.Rand, n, cols int) *SymMatrix {
+	x := NewMatrix(n, cols)
+	for i := range x.Data {
+		x.Data[i] = rng.NormFloat64()
+	}
+	g := NewSymMatrix(n)
+	for i := 0; i < n; i++ {
+		for j := i; j < n; j++ {
+			d, _ := Dot(x.Row(i), x.Row(j))
+			g.Set(i, j, d)
+		}
+	}
+	return g
 }
 
 func TestEigenReconstructionProperty(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		n := 2 + rng.Intn(8)
-		m := randomSymmetric(rng, n)
-		res, err := SymmetricEigen(m, 0)
-		if err != nil {
-			return false
-		}
-		rec := reconstruct(res)
+		s := randomSymmetric(rng, n)
+		rec := reconstruct(SymmetricEigen(s, 0))
+		m := s.Dense()
 		scale := 1 + m.FrobeniusNorm()
 		for i := range m.Data {
 			if math.Abs(rec.Data[i]-m.Data[i]) > 1e-8*scale {
@@ -116,10 +120,7 @@ func TestEigenvectorsOrthonormalProperty(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		n := 2 + rng.Intn(6)
-		res, err := SymmetricEigen(randomSymmetric(rng, n), 0)
-		if err != nil {
-			return false
-		}
+		res := SymmetricEigen(randomSymmetric(rng, n), 0)
 		for a := 0; a < n; a++ {
 			for b := a; b < n; b++ {
 				d, _ := Dot(res.Vectors[a], res.Vectors[b])
@@ -144,11 +145,9 @@ func TestEigenvalueEquationProperty(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		n := 2 + rng.Intn(6)
-		m := randomSymmetric(rng, n)
-		res, err := SymmetricEigen(m, 0)
-		if err != nil {
-			return false
-		}
+		s := randomSymmetric(rng, n)
+		res := SymmetricEigen(s, 0)
+		m := s.Dense()
 		scale := 1 + m.FrobeniusNorm()
 		for k := 0; k < n; k++ {
 			av, err := m.MulVec(res.Vectors[k])
@@ -173,18 +172,8 @@ func TestEigenLargeWellConditioned(t *testing.T) {
 	// and the trace is preserved, at the pipeline's typical n=100.
 	rng := rand.New(rand.NewSource(7))
 	n := 100
-	x := NewMatrix(n, 20)
-	for i := range x.Data {
-		x.Data[i] = rng.NormFloat64()
-	}
-	g, err := x.Mul(x.Transpose())
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := SymmetricEigen(g, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	g := gram(rng, n, 20)
+	res := SymmetricEigen(g, 0)
 	var trace, sum float64
 	for i := 0; i < n; i++ {
 		trace += g.At(i, i)
@@ -201,8 +190,7 @@ func TestEigenLargeWellConditioned(t *testing.T) {
 }
 
 func TestTopKEigenvectors(t *testing.T) {
-	m, _ := FromRows([][]float64{{2, 1}, {1, 2}})
-	res, _ := SymmetricEigen(m, 0)
+	res := SymmetricEigen(symFromRows(t, [][]float64{{2, 1}, {1, 2}}), 0)
 	top, err := TopKEigenvectors(res, 1)
 	if err != nil {
 		t.Fatal(err)
@@ -243,19 +231,9 @@ func TestPowerIterationMatchesJacobiProperty(t *testing.T) {
 		n := 2 + rng.Intn(8)
 		// PSD Gram matrix: dominant eigenvalue is the largest one and
 		// power iteration converges cleanly.
-		x := NewMatrix(n, n+2)
-		for i := range x.Data {
-			x.Data[i] = rng.NormFloat64()
-		}
-		g, err := x.Mul(x.Transpose())
-		if err != nil {
-			return false
-		}
-		full, err := SymmetricEigen(g, 0)
-		if err != nil {
-			return false
-		}
-		val, _, err := PowerIteration(g, 1e-12, 5000)
+		g := gram(rng, n, n+2)
+		full := SymmetricEigen(g, 0)
+		val, _, err := PowerIteration(g.Dense(), 1e-12, 5000)
 		if err != nil {
 			return false
 		}
@@ -281,18 +259,7 @@ func TestPowerIterationValidation(t *testing.T) {
 func TestEigenConvergenceReported(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	n := 12
-	m := NewMatrix(n, n)
-	for i := 0; i < n; i++ {
-		for j := i; j < n; j++ {
-			v := rng.NormFloat64()
-			m.Set(i, j, v)
-			m.Set(j, i, v)
-		}
-	}
-	res, err := SymmetricEigen(m, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := SymmetricEigen(randomSymmetric(rng, n), 0)
 	if !res.Converged {
 		t.Fatalf("well-conditioned matrix reported non-converged after %d sweeps", res.Sweeps)
 	}
@@ -302,11 +269,7 @@ func TestEigenConvergenceReported(t *testing.T) {
 }
 
 func TestEigenDiagonalConvergesInZeroSweeps(t *testing.T) {
-	m, _ := FromRows([][]float64{{4, 0}, {0, 1}})
-	res, err := SymmetricEigen(m, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := SymmetricEigen(symFromRows(t, [][]float64{{4, 0}, {0, 1}}), 0)
 	if !res.Converged || res.Sweeps != 0 {
 		t.Fatalf("diagonal input: converged=%v sweeps=%d, want true/0", res.Converged, res.Sweeps)
 	}

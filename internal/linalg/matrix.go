@@ -1,6 +1,6 @@
 // Package linalg implements the small dense linear-algebra kernel needed
-// by spectral clustering: row-major float64 matrices, vector operations
-// and a cyclic Jacobi eigendecomposition for real symmetric matrices.
+// by spectral clustering: row-major float64 matrices, packed symmetric
+// matrices, vector operations and a cyclic Jacobi eigendecomposition for real symmetric matrices.
 //
 // The matrices in this pipeline are similarity matrices over job samples
 // (typically 100×100, occasionally a few thousand square), so a dense,
@@ -126,21 +126,6 @@ func (m *Matrix) MulVec(x []float64) ([]float64, error) {
 		out[i] = s
 	}
 	return out, nil
-}
-
-// IsSymmetric reports whether m is square and symmetric within tol.
-func (m *Matrix) IsSymmetric(tol float64) bool {
-	if m.Rows != m.Cols {
-		return false
-	}
-	for i := 0; i < m.Rows; i++ {
-		for j := i + 1; j < m.Cols; j++ {
-			if math.Abs(m.At(i, j)-m.At(j, i)) > tol {
-				return false
-			}
-		}
-	}
-	return true
 }
 
 // MaxAbsOffDiag returns the largest |m[i][j]|, i≠j, for a square matrix.

@@ -113,20 +113,6 @@ func TestTransposeInvolutionProperty(t *testing.T) {
 	}
 }
 
-func TestIsSymmetric(t *testing.T) {
-	m, _ := FromRows([][]float64{{1, 2}, {2, 1}})
-	if !m.IsSymmetric(0) {
-		t.Fatal("symmetric matrix rejected")
-	}
-	m.Set(0, 1, 3)
-	if m.IsSymmetric(0.5) {
-		t.Fatal("asymmetric matrix accepted")
-	}
-	if NewMatrix(2, 3).IsSymmetric(1) {
-		t.Fatal("non-square matrix accepted as symmetric")
-	}
-}
-
 func TestCloneIndependence(t *testing.T) {
 	m := NewMatrix(2, 2)
 	c := m.Clone()

@@ -7,8 +7,9 @@ import "fmt"
 // i*n - i*(i-1)/2. The similarity matrices this pipeline builds are
 // symmetric by construction, so the packed form halves both the live
 // heap cost of the kernel stage and the size of every cached artifact
-// that embeds one. Expand with Dense where full-matrix algorithms
-// (eigendecomposition, CSV rendering) need the n² layout.
+// that embeds one. It is the one type for similarity and distance
+// matrices from the kernel stage to the eigensolver, so symmetry is a
+// property of the type rather than a run-time check.
 type SymMatrix struct {
 	N    int
 	Data []float64 // len = N*(N+1)/2, packed upper triangle
@@ -40,7 +41,9 @@ func (s *SymMatrix) Set(i, j int, v float64) { s.Data[s.idx(i, j)] = v }
 
 // Dense expands the packed triangle into a full row-major Matrix. The
 // mirrored cells are bitwise copies, so algorithms running on the dense
-// form see exactly the matrix the packed writes described.
+// form see exactly the matrix the packed writes described. Its only
+// callers are SymmetricEigen's working copy and fingerprints that hash
+// the n² layout.
 func (s *SymMatrix) Dense() *Matrix {
 	m := NewMatrix(s.N, s.N)
 	k := 0

@@ -135,10 +135,10 @@ const heatRamp = " .:-=+*#%@"
 
 // Heatmap renders a matrix with entries in [0,1] as an ASCII density
 // map, one character per cell. Values outside [0,1] are clamped.
-func Heatmap(m *linalg.Matrix) string {
+func Heatmap(m *linalg.SymMatrix) string {
 	var b strings.Builder
-	for i := 0; i < m.Rows; i++ {
-		for j := 0; j < m.Cols; j++ {
+	for i := 0; i < m.N; i++ {
+		for j := 0; j < m.N; j++ {
 			v := m.At(i, j)
 			if v < 0 {
 				v = 0
@@ -155,11 +155,11 @@ func Heatmap(m *linalg.Matrix) string {
 }
 
 // WriteMatrixCSV emits a matrix as CSV with %.6f cells.
-func WriteMatrixCSV(w io.Writer, m *linalg.Matrix) error {
+func WriteMatrixCSV(w io.Writer, m *linalg.SymMatrix) error {
 	cw := csv.NewWriter(w)
-	row := make([]string, m.Cols)
-	for i := 0; i < m.Rows; i++ {
-		for j := 0; j < m.Cols; j++ {
+	row := make([]string, m.N)
+	for i := 0; i < m.N; i++ {
+		for j := 0; j < m.N; j++ {
 			row[j] = fmt.Sprintf("%.6f", m.At(i, j))
 		}
 		if err := cw.Write(row); err != nil {

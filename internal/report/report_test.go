@@ -66,8 +66,8 @@ func TestTableCSV(t *testing.T) {
 }
 
 func TestHeatmap(t *testing.T) {
-	m, _ := linalg.FromRows([][]float64{{0, 1}, {0.5, 2}})
-	out := Heatmap(m)
+	// Rows [0 1] and [1 2]: a zero cell, a max cell, a clamped cell.
+	out := Heatmap(&linalg.SymMatrix{N: 2, Data: []float64{0, 1, 2}})
 	lines := strings.Split(strings.TrimRight(out, "\n"), "\n")
 	if len(lines) != 2 || len(lines[0]) != 2 {
 		t.Fatalf("heatmap shape:\n%q", out)
@@ -81,12 +81,12 @@ func TestHeatmap(t *testing.T) {
 }
 
 func TestWriteMatrixCSV(t *testing.T) {
-	m, _ := linalg.FromRows([][]float64{{1, 0.5}})
+	m := &linalg.SymMatrix{N: 2, Data: []float64{1, 0.5, 1}}
 	var buf bytes.Buffer
 	if err := WriteMatrixCSV(&buf, m); err != nil {
 		t.Fatal(err)
 	}
-	if got := strings.TrimSpace(buf.String()); got != "1.000000,0.500000" {
+	if got := strings.TrimSpace(buf.String()); got != "1.000000,0.500000\n0.500000,1.000000" {
 		t.Fatalf("csv = %q", got)
 	}
 }

@@ -134,7 +134,7 @@ func goldenDigests(t *testing.T) map[string]string {
 		if err != nil {
 			t.Fatal(err)
 		}
-		hashFloats(sum("shortest-path/kernel-matrix"), m.Data)
+		hashFloats(sum("shortest-path/kernel-matrix"), m.Dense().Data)
 
 		train, d, err := Features(other, sp)
 		if err != nil {

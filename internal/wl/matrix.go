@@ -32,16 +32,16 @@ type MatrixOptions struct {
 	OnRow func(done, total int) error
 }
 
-// KernelMatrix computes the full normalized similarity matrix over the
-// given job graphs — the data behind the paper's Figure 7 heat map.
-// Entry (i, j) is Similarity(φ(Gi), φ(Gj)); the matrix is symmetric with
-// unit diagonal.
+// KernelMatrix computes the normalized similarity matrix over the given
+// job graphs — the data behind the paper's Figure 7 heat map. Entry
+// (i, j) is Similarity(φ(Gi), φ(Gj)); the matrix is symmetric with unit
+// diagonal.
 //
 // Feature extraction runs once, sequentially, against a shared label
 // dictionary (interning must be deterministic); the O(n²) pairwise dot
-// products are then fanned out across `workers` goroutines, each owning
-// a contiguous band of rows. workers <= 0 selects GOMAXPROCS.
-func KernelMatrix(graphs []*dag.Graph, opt Options, workers int) (*linalg.Matrix, error) {
+// products are then fanned out across `workers` goroutines.
+// workers <= 0 selects GOMAXPROCS.
+func KernelMatrix(graphs []*dag.Graph, opt Options, workers int) (*linalg.SymMatrix, error) {
 	if len(graphs) == 0 {
 		return nil, fmt.Errorf("wl: kernel matrix over zero graphs")
 	}
@@ -49,22 +49,13 @@ func KernelMatrix(graphs []*dag.Graph, opt Options, workers int) (*linalg.Matrix
 	if err != nil {
 		return nil, err
 	}
-	n := len(vecs)
-	m := linalg.NewMatrix(n, n)
-	if err := kernelPairs(vecs, MatrixOptions{Workers: workers}, func(i, j int, s float64) {
-		m.Set(i, j, s)
-		m.Set(j, i, s)
-	}); err != nil {
-		return nil, err
-	}
-	return m, nil
+	return SymMatrixFromCompactOpts(vecs, MatrixOptions{Workers: workers})
 }
 
 // SymMatrixFromCompactOpts computes the normalized kernel over
 // pre-computed feature vectors (they must share one label space) into
 // a packed symmetric matrix — half the memory of the dense form, which
-// is what the pipeline caches and ships between stages. Call Dense on
-// the result where a full n² layout is required.
+// is what the pipeline caches and ships between stages.
 func SymMatrixFromCompactOpts(vecs []CompactVector, opt MatrixOptions) (*linalg.SymMatrix, error) {
 	n := len(vecs)
 	if n == 0 {

@@ -36,8 +36,8 @@ func TestKernelMatrixProperties(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if m.Rows != 20 || m.Cols != 20 {
-		t.Fatalf("shape %dx%d", m.Rows, m.Cols)
+	if m.N != 20 {
+		t.Fatalf("order %d", m.N)
 	}
 	for i := 0; i < 20; i++ {
 		if m.At(i, i) != 1 {

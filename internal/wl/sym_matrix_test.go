@@ -9,10 +9,11 @@ import (
 	"jobgraph/internal/linalg"
 )
 
-// TestSymMatrixMatchesDense pins the packed kernel path to the dense
-// one (KernelMatrix) and to pairwise Similarity bit for bit: the
-// pipeline caches the packed form and expands it downstream, so any
-// divergence here would silently change Analysis output.
+// TestSymMatrixMatchesDense pins both kernel entry points (KernelMatrix
+// over graphs, SymMatrixFromCompactOpts over vectors), expanded to the
+// dense n² layout, to pairwise Similarity bit for bit: Analysis
+// fingerprints hash that layout, so any divergence here would silently
+// change Analysis output.
 func TestSymMatrixMatchesDense(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	graphs := make([]*dag.Graph, 30)
@@ -47,11 +48,11 @@ func TestSymMatrixMatchesDense(t *testing.T) {
 				}
 			}
 		}
-		dense, err := KernelMatrix(graphs, DefaultOptions(), workers)
+		km, err := KernelMatrix(graphs, DefaultOptions(), workers)
 		if err != nil {
 			t.Fatal(err)
 		}
-		check("dense", dense)
+		check("KernelMatrix", km.Dense())
 		packed, err := SymMatrixFromCompactOpts(vecs, MatrixOptions{Workers: workers})
 		if err != nil {
 			t.Fatal(err)
